@@ -27,7 +27,7 @@ fmt-check:
 # new concurrent paths) are included.
 race:
 	$(GO) test -race -count=1 $(RACE_PKGS)
-	$(GO) test -race -count=1 -run 'Deterministic|Concurrent|Singleflight|PlanCache|BatchSweep|Grid' ./internal/core
+	$(GO) test -race -count=1 -run 'Deterministic|Concurrent|Singleflight|PlanCache|Grid' ./internal/core
 	$(GO) test -race -count=1 -run 'Singleflight' ./internal/experiments
 
 # bench-smoke compiles and runs each hot-path benchmark once, catching
@@ -35,8 +35,9 @@ race:
 # covers the BENCH_mi.json scaling table (tree and brute, n up to 12k);
 # the core/sched run covers the BENCH_serve.json serving-path table; the
 # replay run covers the BENCH_backend.json trace-serving overhead table;
-# the core miss/batch and serve runs cover the BENCH_concurrency.json
-# concurrent-serving table; the Sweep1D/Sweep2D arms plus the mat
+# the core miss and serve runs (the serve run includes the gated
+# ServePredict arm) cover the BENCH_concurrency.json concurrent-serving
+# table; the Sweep1D/Sweep2D arms plus the mat
 # MulTB61x64 blocked/naive split cover the BENCH_sweep2d.json 1-D vs 2-D
 # sweep-cost table; the fleet 100k arms cover the BENCH_fleet.json
 # event-engine table (and re-assert its 0-alloc steady-state invariant);
@@ -50,7 +51,7 @@ race:
 bench-smoke:
 	$(GO) test -run '^$$' -bench Figure7 -benchtime=1x .
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/nn ./internal/mat ./internal/mi
-	$(GO) test -run '^$$' -bench 'PredictProfile|PlanCacheSelect|PlanFleet|BatchSweep|Sweep1D|Sweep2D' -benchtime=1x ./internal/core ./internal/sched
+	$(GO) test -run '^$$' -bench 'PredictProfile|PlanCacheSelect|PlanFleet|Sweep1D|Sweep2D' -benchtime=1x ./internal/core ./internal/sched
 	$(GO) test -run '^$$' -bench ReplayProfile -benchtime=1x ./internal/backend/replay
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/serve
 	$(GO) test -run '^$$' -bench 'Fleet.*100k' -benchtime=1x ./internal/fleet

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"strings"
@@ -42,12 +43,15 @@ type loadResult struct {
 	P99Ms         float64 `json:"p99_ms"`
 }
 
-// loadReport mirrors BENCH_serve.json's shape: description, machine (with
-// the single-core caveat when it applies), toolchain, then results.
+// loadReport mirrors BENCH_serve.json's shape: description, then the
+// stamp — host, machine (with the single-core caveat when it applies),
+// toolchain and commit — then results.
 type loadReport struct {
 	Description string       `json:"description"`
+	Host        string       `json:"host"`
 	Machine     string       `json:"machine"`
 	Go          string       `json:"go"`
+	Commit      string       `json:"commit"`
 	Results     []loadResult `json:"results"`
 }
 
@@ -218,7 +222,8 @@ func measure(scenario string, workers, requests int, call selectFunc) (loadResul
 
 // localScenarios builds the three serving configurations the report
 // contrasts: the PR 3 baseline shape (one global mutex), lock striping
-// alone, and striping plus the micro-batched miss path. Under the uniform
+// alone, and striping behind serve.Server's admission gate — the stack
+// dvfs-served runs. Under the uniform
 // distribution, capacity 1 starves the cache so every request exercises the
 // sweep path; under zipf, capacity 64 holds the hot head of the key
 // distribution and the tail misses. mems widens each sweeper to a
@@ -247,7 +252,7 @@ func localScenarios(m *core.Models, runs []dcgm.Run, keys []int, mems []float64,
 			return hit, false, err
 		}, func() {}, nil
 	}
-	mkBatched := func() (selectFunc, func(), error) {
+	mkGated := func() (selectFunc, func(), error) {
 		sw, err := m.NewGridSweeper(arch, arch.DesignClocks(), mems)
 		if err != nil {
 			return nil, nil, err
@@ -269,7 +274,7 @@ func localScenarios(m *core.Models, runs []dcgm.Run, keys []int, mems []float64,
 	return []scenario{
 		{label + ", single shard (PR 3 baseline shape)", func() (selectFunc, func(), error) { return mkCache(1) }},
 		{label + ", 16 shards", func() (selectFunc, func(), error) { return mkCache(16) }},
-		{label + ", 16 shards + micro-batched sweep", mkBatched},
+		{label + ", 16 shards + serve.Server admission gate", mkGated},
 	}
 }
 
@@ -412,9 +417,32 @@ func routerScenarios(m *core.Models, counts []int, apps []string, keys []int) []
 func machineString() string {
 	s := fmt.Sprintf("GOMAXPROCS=%d, NumCPU=%d, %s/%s", runtime.GOMAXPROCS(0), runtime.NumCPU(), runtime.GOOS, runtime.GOARCH)
 	if runtime.NumCPU() == 1 {
-		s += " (single-core container: shard striping and batch fusing cannot show wall-clock speedups here — their contracts, bit-identical selections under concurrency and bounded-queue shedding, are enforced by TestPlanCacheShardedDifferential, TestServerSelectDifferential, and TestHTTPOverloadSheds; rerun this mode on a multi-core host for scaling numbers)"
+		s += " (single-core container: shard striping and the admission gate cannot show wall-clock speedups here — their contracts, bit-identical selections under concurrency and bounded-admission shedding, are enforced by TestPlanCacheShardedDifferential, TestServerSelectDifferential, and TestHTTPOverloadSheds; rerun this mode on a multi-core host for scaling numbers)"
 	}
 	return s
+}
+
+// buildCommit is the VCS revision stamped into the binary, suffixed
+// "+dirty" when it was built from a modified tree, or "unknown" when the
+// build carries no stamp (go run, test binaries).
+func buildCommit() string {
+	info, ok := debug.ReadBuildInfo()
+	if !ok {
+		return "unknown"
+	}
+	rev, dirty := "unknown", false
+	for _, s := range info.Settings {
+		switch s.Key {
+		case "vcs.revision":
+			rev = s.Value
+		case "vcs.modified":
+			dirty = s.Value == "true"
+		}
+	}
+	if dirty {
+		rev += "+dirty"
+	}
+	return rev
 }
 
 // splitList trims a comma-separated flag value into its non-empty items.
@@ -527,7 +555,7 @@ func runLoad(url, urls, replicas, concStr, appsStr, dist, memSpec string, reques
 	if dist == "zipf" {
 		desc += "Workload keys follow a Zipf(s=1.1) distribution over the key space, so the plan cache (capacity 64 locally) holds the hot head and misses the tail; the hit/miss split per concurrency level is the headline number. Local scenario caches start cold at every concurrency level."
 	} else {
-		desc += "Every request is a cache miss (capacity-starved cache over non-colliding synthetic runs), isolating the contended sweep path the sharded cache and micro-batcher exist for."
+		desc += "Every request is a cache miss (capacity-starved cache over non-colliding synthetic runs), isolating the contended sweep path the sharded cache and admission gate exist for."
 	}
 	switch {
 	case replicas != "":
@@ -537,12 +565,15 @@ func runLoad(url, urls, replicas, concStr, appsStr, dist, memSpec string, reques
 	case url != "":
 		desc += " One scenario: an external dvfs-served daemon (its cache stays warm across concurrency levels)."
 	default:
-		desc += " Scenarios contrast the PR 3 baseline shape (one global mutex), lock striping alone, and striping plus micro-batched fused sweeps."
+		desc += " Scenarios contrast the PR 3 baseline shape (one global mutex), lock striping alone, and striping behind serve.Server's admission gate (at most 64 sweeps admitted, at most GOMAXPROCS running, each a direct sweep on its caller's goroutine)."
 	}
+	host, _ := os.Hostname()
 	report := loadReport{
 		Description: desc,
+		Host:        host,
 		Machine:     machineString(),
 		Go:          runtime.Version(),
+		Commit:      buildCommit(),
 	}
 	fmt.Fprintf(w, "%-50s %12s %9s %6s %7s %7s %14s %9s %9s\n", "scenario", "concurrency", "requests", "shed", "hits", "misses", "throughput", "p50_ms", "p99_ms")
 	for _, s := range scenarios {

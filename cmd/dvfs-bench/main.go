@@ -10,7 +10,7 @@
 //	dvfs-bench -out results/        # also write one .txt per artifact
 //
 // It also carries the concurrent-serving load generator (-load): closed-loop
-// workers drive the sharded-cache/micro-batch serving stack (or, with
+// workers drive the sharded-cache/admission-gate serving stack (or, with
 // -load-url, a running dvfs-served daemon) and report throughput with
 // p50/p99 latency per concurrency level:
 //

@@ -29,14 +29,13 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
+	"gpudvfs/internal/daemon"
 	"gpudvfs/internal/obs"
 	"gpudvfs/internal/router"
 )
@@ -100,26 +99,9 @@ func buildProxy(cfg config) (*router.Proxy, error) {
 	})
 }
 
-// drainHandler refuses work once shutdown has begun — same gate as
-// dvfs-served: http.Server.Shutdown keeps serving established keep-alive
-// connections, and a pipelining client could otherwise hold the drain
-// window open indefinitely.
-type drainHandler struct {
-	inner    http.Handler
-	draining atomic.Bool
-}
-
-func (d *drainHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if d.draining.Load() {
-		w.Header().Set("Connection", "close")
-		http.Error(w, "router is shutting down", http.StatusServiceUnavailable)
-		return
-	}
-	d.inner.ServeHTTP(w, r)
-}
-
 // run serves until ctx is cancelled, then drains: new requests answer 503,
-// in-flight proxied requests get up to 5s to finish. If ready is non-nil
+// in-flight proxied requests get up to 5s to finish, and connections that
+// never sent a request are closed. If ready is non-nil
 // it receives the bound address once the listener is up.
 func run(ctx context.Context, addr string, cfg config, ready chan<- net.Addr) error {
 	p, err := buildProxy(cfg)
@@ -132,29 +114,9 @@ func run(ctx context.Context, addr string, cfg config, ready chan<- net.Addr) er
 	if err != nil {
 		return err
 	}
-	drain := &drainHandler{inner: p.Handler()}
-	hs := &http.Server{Handler: drain, ReadHeaderTimeout: 5 * time.Second}
-
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
 	fmt.Fprintf(os.Stderr, "dvfs-router: listening on %s, %d replicas\n", ln.Addr(), p.Ring().Replicas())
 	if ready != nil {
 		ready <- ln.Addr()
 	}
-
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-		drain.draining.Store(true)
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := hs.Shutdown(shutdownCtx); err != nil {
-			return err
-		}
-		if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
-			return err
-		}
-		return nil
-	}
+	return daemon.Serve(ctx, ln, &daemon.Drain{Handler: p.Handler(), Refusal: "router is shutting down"})
 }

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestBuildProxyValidation(t *testing.T) {
@@ -81,5 +82,41 @@ func TestRunLifecycle(t *testing.T) {
 	if c, err := net.Dial("tcp", addr); err == nil {
 		c.Close()
 		t.Fatal("listener still accepting after shutdown")
+	}
+}
+
+// TestRunShutdownWithUnusedConn: a client holding an accepted connection
+// that never sends a request (http.Transport pre-dials these) must not
+// stall the drain — net/http's 5 s grace for such connections would
+// otherwise tie with the 5 s drain deadline and make run fail with
+// "context deadline exceeded".
+func TestRunShutdownWithUnusedConn(t *testing.T) {
+	cfg := config{replicas: "http://127.0.0.1:1", healthInterval: -1}
+	ctx, cancel := context.WithCancel(context.Background())
+	ready := make(chan net.Addr, 1)
+	runErr := make(chan error, 1)
+	go func() { runErr <- run(ctx, "127.0.0.1:0", cfg, ready) }()
+	addr := (<-ready).String()
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// Let the server accept it (StateNew) before shutdown begins.
+	time.Sleep(50 * time.Millisecond)
+
+	start := time.Now()
+	cancel()
+	select {
+	case err := <-runErr:
+		if err != nil {
+			t.Fatalf("run returned %v with an unused connection open", err)
+		}
+		if took := time.Since(start); took > 2*time.Second {
+			t.Fatalf("drain took %v with an unused connection open", took)
+		}
+	case <-time.After(4 * time.Second):
+		t.Fatal("run did not return well inside the 5 s drain deadline")
 	}
 }

@@ -1,18 +1,21 @@
 // Command dvfs-served is the online phase as a daemon: a long-running
 // HTTP/JSON service that profiles a workload once at the maximum clock and
 // answers with the paper's performance-aware energy-optimal frequency.
-// Selections ride the concurrent serving stack — sharded plan cache,
-// micro-batched fused sweeps — and are bit-identical to what dvfs-select
-// computes for the same profiling run.
+// Selections ride the concurrent serving stack — sharded plan cache, each
+// miss swept directly on its request's goroutine behind a bounded
+// admission gate — and are bit-identical to what dvfs-select computes for
+// the same profiling run.
 //
 // Endpoints:
 //
 //	POST /v1/select  {"workload": "LAMMPS"}  → {"freq_mhz": 1005, ...}
 //	POST /v1/profile {"workload": "LAMMPS"}  → full predicted DVFS table
-//	GET  /v1/stats                           → cache/batcher/HTTP counters
+//	GET  /v1/stats                           → cache/HTTP counters
+//	GET  /metrics                            → Prometheus text exposition
 //
-// Overload is explicit: the sweep queue is bounded and a full queue answers
-// 429 with Retry-After rather than buffering without limit.
+// Overload is explicit: at most -queue sweeps are admitted at once, and a
+// request past that bound answers 429 with Retry-After rather than
+// buffering without limit.
 //
 // Examples:
 //
@@ -22,7 +25,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -30,12 +32,12 @@ import (
 	"os"
 	"os/signal"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
 	"gpudvfs/internal/backend/open"
 	"gpudvfs/internal/core"
+	"gpudvfs/internal/daemon"
 	"gpudvfs/internal/objective"
 	"gpudvfs/internal/obs"
 	"gpudvfs/internal/serve"
@@ -49,8 +51,6 @@ type config struct {
 	quantum       float64
 	capacity      int
 	shards        int
-	maxBatch      int
-	maxWait       time.Duration
 	queue         int
 	device        open.Config
 	seed          int64
@@ -74,9 +74,7 @@ func main() {
 		quantum     = flag.Float64("quantum", 0, "plan-cache feature quantum (0 = default)")
 		capacity    = flag.Int("capacity", 0, "plan-cache entry bound (0 = default)")
 		shards      = flag.Int("shards", 0, "plan-cache shard count, rounded up to a power of two (0 = default)")
-		maxBatch    = flag.Int("max-batch", 0, "most sweeps fused into one forward pass (0 = default)")
-		maxWait     = flag.Duration("max-wait", 0, "how long a forming batch waits for company (0 = default, negative = never wait)")
-		queue       = flag.Int("queue", 0, "pending-sweep bound; beyond it requests shed with 429 (0 = default)")
+		queue       = flag.Int("queue", 0, "admitted-sweep bound; beyond it requests shed with 429 (0 = default)")
 		memFreqs    = flag.String("mem-freqs", "", `memory P-states served alongside core clocks: "all", or a comma-separated MHz list; empty serves the core axis only`)
 		snapshot    = flag.String("snapshot", "", "plan-cache snapshot file: loaded at boot (warm start), saved on shutdown")
 		snapEvery   = flag.Duration("snapshot-interval", 0, "also save the snapshot periodically at this interval (0 = only on shutdown)")
@@ -91,8 +89,6 @@ func main() {
 		quantum:   *quantum,
 		capacity:  *capacity,
 		shards:    *shards,
-		maxBatch:  *maxBatch,
-		maxWait:   *maxWait,
 		queue:     *queue,
 		device:    open.Config{Backend: *backendName, Arch: *archName, Seed: *seed, Trace: *trace, TimeCompression: *compression},
 		seed:      *seed,
@@ -143,11 +139,7 @@ func buildHandler(cfg config) (http.Handler, *serve.Server, error) {
 			Capacity:  cfg.capacity,
 			Shards:    cfg.shards,
 		},
-		Batch: serve.BatcherConfig{
-			MaxBatch:   cfg.maxBatch,
-			MaxWait:    cfg.maxWait,
-			QueueDepth: cfg.queue,
-		},
+		Queue: cfg.queue,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -164,29 +156,9 @@ func buildHandler(cfg config) (http.Handler, *serve.Server, error) {
 	return h, srv, nil
 }
 
-// drainHandler refuses work once shutdown has begun. http.Server.Shutdown
-// stops the listener but keeps serving requests that arrive on established
-// keep-alive connections until they idle out; without this gate a client
-// pipelining requests over one connection could hold the drain window open
-// indefinitely. Requests already in flight when draining starts finish
-// normally — the gate is checked only at request entry.
-type drainHandler struct {
-	inner    http.Handler
-	draining atomic.Bool
-}
-
-func (d *drainHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if d.draining.Load() {
-		w.Header().Set("Connection", "close")
-		http.Error(w, "server is shutting down", http.StatusServiceUnavailable)
-		return
-	}
-	d.inner.ServeHTTP(w, r)
-}
-
 // run serves until ctx is cancelled (main wires SIGINT/SIGTERM into ctx),
 // then drains: new requests answer 503, in-flight requests get up to 5s to
-// finish. If ready is non-nil it receives the bound address once the
+// finish, and connections that never sent a request are closed. If ready is non-nil it receives the bound address once the
 // listener is up — tests pass addr ":0" and read the port from here.
 func run(ctx context.Context, addr string, cfg config, ready chan<- net.Addr) error {
 	handler, srv, err := buildHandler(cfg)
@@ -205,7 +177,7 @@ func run(ctx context.Context, addr string, cfg config, ready chan<- net.Addr) er
 		}
 		fmt.Fprintf(os.Stderr, "dvfs-served: warm start: %d plans restored from %s\n", n, cfg.snapshot)
 		// Final save on the way out — after the listener has drained, so
-		// late selections are captured, and before the batcher closes.
+		// late selections are captured, and before the server closes.
 		defer func() {
 			if err := srv.Cache().SaveSnapshotFile(cfg.snapshot); err != nil {
 				fmt.Fprintln(os.Stderr, "dvfs-served: snapshot save:", err)
@@ -241,29 +213,9 @@ func run(ctx context.Context, addr string, cfg config, ready chan<- net.Addr) er
 	if err != nil {
 		return err
 	}
-	drain := &drainHandler{inner: handler}
-	hs := &http.Server{Handler: drain, ReadHeaderTimeout: 5 * time.Second}
-
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
 	fmt.Fprintf(os.Stderr, "dvfs-served: listening on %s\n", ln.Addr())
 	if ready != nil {
 		ready <- ln.Addr()
 	}
-
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-		drain.draining.Store(true)
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := hs.Shutdown(shutdownCtx); err != nil {
-			return err
-		}
-		if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
-			return err
-		}
-		return nil
-	}
+	return daemon.Serve(ctx, ln, &daemon.Drain{Handler: handler, Refusal: "server is shutting down"})
 }

@@ -21,6 +21,7 @@ import (
 	"gpudvfs/internal/backend/open"
 	sim "gpudvfs/internal/backend/sim"
 	"gpudvfs/internal/core"
+	"gpudvfs/internal/daemon"
 	"gpudvfs/internal/nn"
 	"gpudvfs/internal/stats"
 )
@@ -84,10 +85,10 @@ func TestBuildHandlerValidation(t *testing.T) {
 		t.Fatal("unknown objective accepted")
 	}
 
-	badBatch := baseConfig(models)
-	badBatch.maxBatch = -1
-	if _, _, err := buildHandler(badBatch); err == nil {
-		t.Fatal("negative max-batch accepted")
+	badQueue := baseConfig(models)
+	badQueue.queue = -1
+	if _, _, err := buildHandler(badQueue); err == nil {
+		t.Fatal("negative queue bound accepted")
 	}
 
 	badShards := baseConfig(models)
@@ -102,7 +103,6 @@ func TestServedEndToEnd(t *testing.T) {
 		t.Skip("end-to-end daemon test")
 	}
 	cfg := baseConfig(saveTestModels(t))
-	cfg.maxWait = -1 * time.Microsecond
 	handler, srv, err := buildHandler(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +188,7 @@ func TestDrainGateRefusesLateRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	drain := &drainHandler{inner: handler}
+	drain := &daemon.Drain{Handler: handler, Refusal: "server is shutting down"}
 	ts := httptest.NewServer(drain)
 	defer ts.Close()
 
@@ -201,7 +201,7 @@ func TestDrainGateRefusesLateRequests(t *testing.T) {
 		t.Fatalf("pre-drain stats: status %d", resp.StatusCode)
 	}
 
-	drain.draining.Store(true)
+	drain.Begin()
 	resp, err = http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
@@ -329,6 +329,41 @@ func TestRunShutdownOnClose(t *testing.T) {
 	if c, err := net.Dial("tcp", addr); err == nil {
 		c.Close()
 		t.Fatal("listener still accepting after close")
+	}
+}
+
+// TestRunShutdownWithUnusedConn: a client holding an accepted connection
+// that never sends a request must not stall the drain — net/http's 5 s
+// grace for such connections would otherwise tie with the 5 s drain
+// deadline and make run fail with "context deadline exceeded".
+func TestRunShutdownWithUnusedConn(t *testing.T) {
+	cfg := baseConfig(saveTestModels(t))
+	ctx, cancel := context.WithCancel(context.Background())
+	ready := make(chan net.Addr, 1)
+	runErr := make(chan error, 1)
+	go func() { runErr <- run(ctx, "127.0.0.1:0", cfg, ready) }()
+	addr := (<-ready).String()
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// Let the server accept it (StateNew) before shutdown begins.
+	time.Sleep(50 * time.Millisecond)
+
+	start := time.Now()
+	cancel()
+	select {
+	case err := <-runErr:
+		if err != nil {
+			t.Fatalf("run returned %v with an unused connection open", err)
+		}
+		if took := time.Since(start); took > 2*time.Second {
+			t.Fatalf("drain took %v with an unused connection open", took)
+		}
+	case <-time.After(4 * time.Second):
+		t.Fatal("run did not return well inside the 5 s drain deadline")
 	}
 }
 

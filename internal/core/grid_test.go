@@ -218,48 +218,6 @@ func TestGridSweeperDegenerate1D(t *testing.T) {
 	}
 }
 
-// TestGridSweeperBatchMatchesSingle2D extends the fused-batch bit-identity
-// contract to the 2-D grid: stacking several runs' grids into one forward
-// pass must equal per-run PredictProfileInto calls exactly, clamp splits
-// included.
-func TestGridSweeperBatchMatchesSingle2D(t *testing.T) {
-	m := gridModels(t)
-	arch := sim.GA100().Spec()
-	sw, err := m.NewGridSweeper(arch, arch.DesignClocks(), arch.MemClocks())
-	if err != nil {
-		t.Fatal(err)
-	}
-	runs := []dcgm.Run{
-		serveRun(t, 80, workloads.DGEMM()),
-		serveRun(t, 81, workloads.STREAM()),
-		serveRun(t, 82, workloads.LAMMPS()),
-	}
-	wantP := make([][]objective.Profile, len(runs))
-	wantC := make([]Clamps, len(runs))
-	for i, r := range runs {
-		wantP[i] = make([]objective.Profile, sw.GridSize())
-		if wantC[i], err = sw.PredictProfileInto(wantP[i], r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	gotP := make([][]objective.Profile, len(runs))
-	gotC := make([]Clamps, len(runs))
-	for i := range gotP {
-		gotP[i] = make([]objective.Profile, sw.GridSize())
-	}
-	if err := sw.PredictProfilesInto(gotP, gotC, runs); err != nil {
-		t.Fatal(err)
-	}
-	for i := range runs {
-		if !gridProfilesIdentical(gotP[i], wantP[i]) {
-			t.Fatalf("batched run %d diverges from the single-run sweep", i)
-		}
-		if gotC[i] != wantC[i] {
-			t.Fatalf("batched run %d clamps %+v, single-run %+v", i, gotC[i], wantC[i])
-		}
-	}
-}
-
 // TestGridSweeperValidation pins the construction and per-run guards the
 // 2-D extension added.
 func TestGridSweeperValidation(t *testing.T) {

@@ -18,10 +18,10 @@ import (
 // SweepFunc computes one design-space sweep for a profiling run, writing
 // one profile per design point into dst and returning the per-axis clamp
 // counts — the contract of Sweeper.PredictProfileInto lifted into a
-// function value so serving layers can reroute cache misses (e.g. through
-// a micro-batcher) without the cache knowing. Any replacement must be
+// function value so serving layers can wrap cache misses (e.g. in an
+// admission gate) without the cache knowing. Any replacement must be
 // bit-identical to the direct sweeper path, or cached selections stop
-// matching the unbatched formulation.
+// matching the per-request formulation.
 type SweepFunc func(ctx context.Context, dst []objective.Profile, maxRun dcgm.Run) (Clamps, error)
 
 // PlanCacheConfig configures a PlanCache.
@@ -48,7 +48,9 @@ type PlanCacheConfig struct {
 	Shards int
 	// Sweep overrides how a cache miss computes its profile sweep; nil uses
 	// the cache's sweeper directly (PredictProfileInto). internal/serve
-	// injects its micro-batched sweep here.
+	// installs its admission gate here: the same direct sweep, run on the
+	// caller's goroutine once the gate admits it, or ErrOverloaded when
+	// the gate is full.
 	Sweep SweepFunc
 	// Derive, when set, is called once per miss — after the sweep and
 	// selection succeed — with the predicted profiles and the chosen
@@ -148,18 +150,17 @@ type PlanCache struct {
 	shards   []planShard
 	mask     uint64 // len(shards)-1, shard count is a power of two
 	shardCap int    // per-shard LRU bound, ceil(Capacity/Shards)
-
-	keyPool sync.Pool // *keyWS
 }
 
-// keyWS is one in-flight key computation's scratch space: the unquantized
-// feature vector and the grow-only key byte buffer. Pooling it (and looking
-// entries up by the byte form of the key) makes the hit path free of heap
-// allocations; only a miss materializes the key as a string.
-type keyWS struct {
-	base []float64
-	buf  []byte
-}
+// Sizes of the hit path's on-stack key scratch: the unquantized feature
+// vector and the key bytes. Keys that fit (every shipped feature set does)
+// are built and looked up without touching the heap — or a sync.Pool,
+// whose per-P chains a garbage collection empties, so that the next Put
+// allocates. Only a miss materializes the key as a string.
+const (
+	keyStackFeatures = 16
+	keyStackBytes    = 256
+)
 
 // NewPlanCache builds a plan cache over a sweeper.
 func NewPlanCache(s *Sweeper, cfg PlanCacheConfig) (*PlanCache, error) {
@@ -200,13 +201,6 @@ func NewPlanCache(s *Sweeper, cfg PlanCacheConfig) (*PlanCache, error) {
 		c.shards[i].entries = map[string]*planEntry{}
 		c.shards[i].lru = list.New()
 	}
-	nf := len(s.models.Features)
-	c.keyPool.New = func() any {
-		return &keyWS{
-			base: make([]float64, nf),
-			buf:  make([]byte, 0, len(c.prefix)+16*nf),
-		}
-	}
 	return c, nil
 }
 
@@ -237,29 +231,33 @@ func quantizeFeature(v, q float64) int64 {
 // at most one, and pathological inputs collapse to sentinel buckets.
 func Quantize(v, q float64) int64 { return quantizeFeature(v, q) }
 
-// appendKey writes the cache key for a profiling run's mean sample — the
+// appendKey appends the cache key for a profiling run's mean sample — the
 // shared (arch, objective, threshold) prefix plus the quantized feature
-// vector — into ws.buf and returns it. The byte form is what the hot path
+// vector — to dst and returns it, using scratch's capacity for the feature
+// vector when it is large enough. The byte form is what the hot path
 // hashes and looks up; only a miss copies it into an immutable string.
-func (c *PlanCache) appendKey(ws *keyWS, mean dcgm.Sample) ([]byte, error) {
+func (c *PlanCache) appendKey(dst []byte, scratch []float64, mean dcgm.Sample) ([]byte, error) {
 	m := c.sweeper.models
-	if err := dataset.FeatureVectorInto(ws.base, m.Features, mean, c.sweeper.target.MaxFreqMHz, c.sweeper.target.MaxFreqMHz); err != nil {
+	base := scratch[:0]
+	if nf := len(m.Features); cap(base) >= nf {
+		base = base[:nf]
+	} else {
+		base = make([]float64, nf)
+	}
+	if err := dataset.FeatureVectorInto(base, m.Features, mean, c.sweeper.target.MaxFreqMHz, c.sweeper.target.MaxFreqMHz); err != nil {
 		return nil, err
 	}
-	buf := append(ws.buf[:0], c.prefix...)
-	for _, v := range ws.base {
+	buf := append(dst, c.prefix...)
+	for _, v := range base {
 		buf = strconv.AppendInt(buf, quantizeFeature(v, c.cfg.Quantum), 36)
 		buf = append(buf, ',')
 	}
-	ws.buf = buf // keep any growth for the next caller
 	return buf, nil
 }
 
 // keyFor is the allocating convenience form of appendKey (tests, Clamped).
 func (c *PlanCache) keyFor(mean dcgm.Sample) (string, error) {
-	ws := c.keyPool.Get().(*keyWS)
-	defer c.keyPool.Put(ws)
-	key, err := c.appendKey(ws, mean)
+	key, err := c.appendKey(nil, nil, mean)
 	if err != nil {
 		return "", err
 	}
@@ -297,10 +295,10 @@ func (c *PlanCache) Select(maxRun dcgm.Run) (sel Selection, hit bool, err error)
 }
 
 // SelectCtx is Select with a context that is handed to the cache's sweep
-// function on a miss. A batched sweep uses it to abandon a request that
-// is still queued; callers that lose the per-key singleflight race wait
-// for the winning computation regardless (its duration is bounded by one
-// sweep plus the batcher's max wait).
+// function on a miss. A gated sweep uses it to give up while it still
+// waits for a run slot; callers that lose the per-key singleflight race
+// wait for the winning computation regardless (its duration is bounded by
+// one sweep plus the gate's wait for a slot).
 func (c *PlanCache) SelectCtx(ctx context.Context, maxRun dcgm.Run) (sel Selection, hit bool, err error) {
 	sel, _, hit, err = c.selectEntry(ctx, maxRun)
 	return sel, hit, err
@@ -321,13 +319,14 @@ func (c *PlanCache) SelectDerivedCtx(ctx context.Context, maxRun dcgm.Run) (sel 
 }
 
 func (c *PlanCache) selectEntry(ctx context.Context, maxRun dcgm.Run) (sel Selection, derived any, hit bool, err error) {
-	if err := c.sweeper.validateRun(maxRun); err != nil {
+	mean, err := c.sweeper.validateRun(maxRun)
+	if err != nil {
 		return Selection{}, nil, false, err
 	}
-	ws := c.keyPool.Get().(*keyWS)
-	kb, err := c.appendKey(ws, maxRun.MeanSample())
+	var baseBuf [keyStackFeatures]float64
+	var keyBuf [keyStackBytes]byte
+	kb, err := c.appendKey(keyBuf[:0], baseBuf[:0], mean)
 	if err != nil {
-		c.keyPool.Put(ws)
 		return Selection{}, nil, false, err
 	}
 
@@ -354,7 +353,6 @@ func (c *PlanCache) selectEntry(ctx context.Context, maxRun dcgm.Run) (sel Selec
 		}
 	}
 	sh.mu.Unlock()
-	c.keyPool.Put(ws)
 
 	// done is only stored (under the once) after every entry field is
 	// final, so a true load proves the fields are readable without entering
@@ -377,7 +375,7 @@ func (c *PlanCache) selectEntry(ctx context.Context, maxRun dcgm.Run) (sel Selec
 	}
 	if e.err != nil {
 		// Drop the failed entry so a transient error (including an
-		// overloaded or canceled batched sweep) does not poison the bucket
+		// overloaded or canceled gated sweep) does not poison the bucket
 		// for later callers.
 		sh.mu.Lock()
 		if cur, ok := sh.entries[e.key]; ok && cur == e {

@@ -141,31 +141,6 @@ func BenchmarkPlanCacheSelectMissSingleShard(b *testing.B) { benchSelectMiss(b, 
 // default 16 shards.
 func BenchmarkPlanCacheSelectMissSharded(b *testing.B) { benchSelectMiss(b, 16) }
 
-// BenchmarkBatchSweep8 measures the fused 8-run sweep — one (8·61)×3
-// forward pass per model instead of eight 61×3 passes.
-func BenchmarkBatchSweep8(b *testing.B) {
-	m := benchModels(b)
-	arch := sim.GA100().Spec()
-	sw, err := m.NewSweeper(arch, arch.DesignClocks())
-	if err != nil {
-		b.Fatal(err)
-	}
-	const batch = 8
-	runs := benchMissRuns(batch)
-	dsts := make([][]objective.Profile, batch)
-	for i := range dsts {
-		dsts[i] = make([]objective.Profile, len(sw.Freqs()))
-	}
-	clamped := make([]Clamps, batch)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := sw.PredictProfilesInto(dsts, clamped, runs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkPlanCacheSelect measures a steady stream of same-character
 // online queries — after the first miss, every Select is a cache hit.
 func BenchmarkPlanCacheSelect(b *testing.B) {

@@ -435,82 +435,6 @@ func TestPlanCacheSingleflight(t *testing.T) {
 	}
 }
 
-// TestBatchSweepMatchesSingle is the fused-batch differential: stacking B
-// runs into one forward pass must reproduce the per-run sweep bit for bit
-// at every batch size the serving layer can produce.
-func TestBatchSweepMatchesSingle(t *testing.T) {
-	m := serveModels(t)
-	arch := sim.GA100().Spec()
-	freqs := arch.DesignClocks()
-	sw, err := m.NewSweeper(arch, freqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, batch := range []int{1, 7, 64} {
-		runs := make([]dcgm.Run, batch)
-		want := make([][]objective.Profile, batch)
-		wantClamped := make([]Clamps, batch)
-		for i := range runs {
-			runs[i] = syntheticRun(0.05+0.013*float64(i%60), 0.10+0.011*float64(i%70))
-			want[i] = make([]objective.Profile, len(freqs))
-			wantClamped[i], err = sw.PredictProfileInto(want[i], runs[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		dsts := make([][]objective.Profile, batch)
-		for i := range dsts {
-			dsts[i] = make([]objective.Profile, len(freqs))
-		}
-		clamped := make([]Clamps, batch)
-		if err := sw.PredictProfilesInto(dsts, clamped, runs); err != nil {
-			t.Fatal(err)
-		}
-		for i := range runs {
-			if !profilesIdentical(dsts[i], want[i]) {
-				t.Fatalf("batch %d: run %d diverged from the per-run sweep", batch, i)
-			}
-			if clamped[i] != wantClamped[i] {
-				t.Fatalf("batch %d: run %d clamp count %+v, want %+v", batch, i, clamped[i], wantClamped[i])
-			}
-		}
-	}
-}
-
-func TestBatchSweepValidation(t *testing.T) {
-	m := serveModels(t)
-	arch := sim.GA100().Spec()
-	freqs := arch.DesignClocks()
-	sw, err := m.NewSweeper(arch, freqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	good := syntheticRun(0.4, 0.3)
-	dst := [][]objective.Profile{make([]objective.Profile, len(freqs))}
-	// Mismatched slice lengths.
-	if err := sw.PredictProfilesInto(dst, make([]Clamps, 2), []dcgm.Run{good}); err == nil {
-		t.Fatal("mismatched clamp slots accepted")
-	}
-	// Invalid run (wrong clock) is named by index.
-	bad := good
-	bad.FreqMHz = 500
-	if err := sw.PredictProfilesInto(dst, make([]Clamps, 1), []dcgm.Run{bad}); err == nil {
-		t.Fatal("off-max profiling run accepted")
-	}
-	// Short profile buffer.
-	short := [][]objective.Profile{make([]objective.Profile, 3)}
-	if err := sw.PredictProfilesInto(short, make([]Clamps, 1), []dcgm.Run{good}); err == nil {
-		t.Fatal("short profile buffer accepted")
-	}
-	// Empty batch is a no-op.
-	if err := sw.PredictProfilesInto(nil, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.ValidateRun(bad); err == nil {
-		t.Fatal("ValidateRun accepted an off-max run")
-	}
-}
-
 // TestPlanCacheShardedDifferential: for the same request stream, every
 // shard count must produce byte-identical selections (shards only change
 // who contends on which mutex, never what is computed).

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"gpudvfs/internal/backend"
@@ -58,8 +59,7 @@ type Sweeper struct {
 	scaledClock []float64
 	scaledMem   []float64
 
-	pool      sync.Pool // *sweepWS
-	batchPool sync.Pool // *batchWS, grow-only over batch size
+	pool sync.Pool // *sweepWS
 }
 
 // sweepWS is one in-flight call's workspace. The sweep matrix x has the
@@ -71,35 +71,6 @@ type sweepWS struct {
 	x       *mat.Matrix // nGrid × len(features) sweep matrix
 	pP      *mat.Matrix // power predictions, nGrid × 1
 	tP      *mat.Matrix // time predictions, nGrid × 1
-}
-
-// batchWS is one in-flight fused-batch call's workspace: the stacked
-// (B·nGrid) × len(features) sweep matrix and its prediction columns. All
-// buffers are grow-only, so a workspace that has served the largest batch
-// once serves every later batch without allocating. stagedRows tracks how
-// many leading rows of x carry valid static columns, so statics are
-// re-staged only when the backing array is reallocated or the batch
-// grows past everything staged before.
-type batchWS struct {
-	base       []float64
-	baseRow    [][]float64
-	x          *mat.Matrix
-	pP         *mat.Matrix
-	tP         *mat.Matrix
-	stagedRows int
-}
-
-// reshapeMat resizes *m to rows×cols, reusing its backing array when it is
-// large enough (the same grow-only contract nn's workspaces use). grew
-// reports whether a fresh backing array was allocated.
-func reshapeMat(m **mat.Matrix, rows, cols int) (_ *mat.Matrix, grew bool) {
-	if *m == nil || cap((*m).Data) < rows*cols {
-		*m = mat.New(rows, cols)
-		return *m, true
-	}
-	(*m).Rows, (*m).Cols = rows, cols
-	(*m).Data = (*m).Data[:rows*cols]
-	return *m, false
 }
 
 // NewSweeper builds a 1-D sweeper for predicting m's profiles on target
@@ -201,12 +172,7 @@ func (m *Models) NewGridSweeper(target backend.Arch, freqs, memFreqs []float64) 
 			tP:   mat.New(s.nGrid, 1),
 		}
 		ws.baseRow = [][]float64{ws.base}
-		s.stageStatic(ws.x, 0, s.nGrid)
-		return ws
-	}
-	s.batchPool.New = func() any {
-		ws := &batchWS{base: make([]float64, nf)}
-		ws.baseRow = [][]float64{ws.base}
+		s.stageStatic(ws.x)
 		return ws
 	}
 	return s, nil
@@ -237,14 +203,12 @@ func (m *Models) scaleColumn(j int, vals []float64) ([]float64, error) {
 	return out, nil
 }
 
-// stageStatic writes the pre-scaled static clock/mem columns into rows
-// [lo, hi) of a (stacked) sweep matrix. Row r corresponds to grid point
-// r%nGrid; the grid is memory-outer, core-inner.
-func (s *Sweeper) stageStatic(x *mat.Matrix, lo, hi int) {
+// stageStatic writes the pre-scaled static clock/mem columns into a sweep
+// matrix. Row g is grid point g; the grid is memory-outer, core-inner.
+func (s *Sweeper) stageStatic(x *mat.Matrix) {
 	nF := len(s.freqs)
-	for r := lo; r < hi; r++ {
-		row := x.Row(r)
-		g := r % s.nGrid
+	for g := 0; g < s.nGrid; g++ {
+		row := x.Row(g)
 		if s.clockIdx >= 0 {
 			row[s.clockIdx] = s.scaledClock[g%nF]
 		}
@@ -255,11 +219,10 @@ func (s *Sweeper) stageStatic(x *mat.Matrix, lo, hi int) {
 }
 
 // fillDynamic broadcasts the scaled mean-sample features into the dynamic
-// columns of rows [off, off+nGrid) of a sweep matrix whose static columns
-// are already staged.
-func (s *Sweeper) fillDynamic(x *mat.Matrix, off int, scaledBase []float64) {
+// columns of a sweep matrix whose static columns are already staged.
+func (s *Sweeper) fillDynamic(x *mat.Matrix, scaledBase []float64) {
 	for g := 0; g < s.nGrid; g++ {
-		row := x.Row(off + g)
+		row := x.Row(g)
 		for _, j := range s.dynIdx {
 			row[j] = scaledBase[j]
 		}
@@ -282,14 +245,14 @@ func (s *Sweeper) scaleBase(base []float64, baseRow [][]float64, mean dcgm.Sampl
 	return nil
 }
 
-// compose turns prediction rows [off, off+nGrid) into profiles,
-// accumulating clamp counts per axis: grid points at an off-default
-// memory clock count as Mem, everything else as Core.
-func (s *Sweeper) compose(dst []objective.Profile, cl *Clamps, pP, tP *mat.Matrix, off int, execTimeSec float64) {
+// compose turns prediction rows into profiles, accumulating clamp counts
+// per axis: grid points at an off-default memory clock count as Mem,
+// everything else as Core.
+func (s *Sweeper) compose(dst []objective.Profile, cl *Clamps, pP, tP *mat.Matrix, execTimeSec float64) {
 	nF := len(s.freqs)
 	for g := 0; g < s.nGrid; g++ {
-		power := pP.At(off+g, 0) * s.target.TDPWatts
-		slow := tP.At(off+g, 0)
+		power := pP.At(g, 0) * s.target.TDPWatts
+		slow := tP.At(g, 0)
 		// Floor pathological predictions at 1 W / 1e-6 slowdown so
 		// downstream EDP math stays well defined even for badly
 		// undertrained models — but count every clamp so they are visible.
@@ -363,24 +326,45 @@ func (s *Sweeper) matches(target backend.Arch, freqs, memFreqs []float64) bool {
 }
 
 // validateRun applies the online phase's profiling-run preconditions, with
-// the same error messages PredictProfile always produced. Profiling must
-// happen at the maximum core clock and the default memory P-state — the
-// grid corner every other design point is extrapolated from.
-func (s *Sweeper) validateRun(maxRun dcgm.Run) error {
+// the same error messages PredictProfile always produced, and returns the
+// run's mean sample. Profiling must happen at the maximum core clock and
+// the default memory P-state — the grid corner every other design point
+// is extrapolated from — and the telemetry a sweep reads must be finite:
+// a NaN or infinite input would otherwise come back as a confident
+// selection (and be memoized under a sentinel plan-cache bucket).
+func (s *Sweeper) validateRun(maxRun dcgm.Run) (dcgm.Sample, error) {
 	if len(maxRun.Samples) == 0 {
-		return errors.New("core: profiling run has no samples")
+		return dcgm.Sample{}, errors.New("core: profiling run has no samples")
 	}
 	if maxRun.FreqMHz != s.target.MaxFreqMHz {
-		return fmt.Errorf("core: profiling run was at %v MHz, want the maximum clock %v MHz", maxRun.FreqMHz, s.target.MaxFreqMHz)
+		return dcgm.Sample{}, fmt.Errorf("core: profiling run was at %v MHz, want the maximum clock %v MHz", maxRun.FreqMHz, s.target.MaxFreqMHz)
 	}
 	if maxRun.MemFreqMHz != 0 && maxRun.MemFreqMHz != s.defMem {
-		return fmt.Errorf("core: profiling run was at memory clock %v MHz, want the default P-state %v MHz", maxRun.MemFreqMHz, s.defMem)
+		return dcgm.Sample{}, fmt.Errorf("core: profiling run was at memory clock %v MHz, want the default P-state %v MHz", maxRun.MemFreqMHz, s.defMem)
+	}
+	if !finite(maxRun.ExecTimeSec) {
+		return dcgm.Sample{}, fmt.Errorf("core: profiling run has non-finite exec time %v", maxRun.ExecTimeSec)
 	}
 	if maxRun.ExecTimeSec <= 0 {
-		return fmt.Errorf("core: profiling run has non-positive exec time %v", maxRun.ExecTimeSec)
+		return dcgm.Sample{}, fmt.Errorf("core: profiling run has non-positive exec time %v", maxRun.ExecTimeSec)
 	}
-	return nil
+	mean := maxRun.MeanSample()
+	for _, name := range s.models.Features {
+		if name == "sm_app_clock" || name == dataset.MemFeature {
+			continue // set from the design grid, never read from the sample
+		}
+		v, err := dataset.Feature(name, mean, s.target.MaxFreqMHz)
+		if err != nil {
+			return dcgm.Sample{}, err
+		}
+		if !finite(v) {
+			return dcgm.Sample{}, fmt.Errorf("core: profiling run has non-finite feature %s = %v", name, v)
+		}
+	}
+	return mean, nil
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // PredictProfileInto runs the online phase for one profiling run, writing
 // one predicted profile per design point into dst (which must have
@@ -394,100 +378,37 @@ func (s *Sweeper) validateRun(maxRun dcgm.Run) error {
 // bit-identical to Models.PredictProfile's historical 1-D output.
 func (s *Sweeper) PredictProfileInto(dst []objective.Profile, maxRun dcgm.Run) (Clamps, error) {
 	var cl Clamps
-	if err := s.validateRun(maxRun); err != nil {
+	mean, err := s.validateRun(maxRun)
+	if err != nil {
 		return cl, err
 	}
 	if len(dst) != s.nGrid {
 		return cl, fmt.Errorf("core: profile buffer has %d entries, sweep has %d design points", len(dst), s.nGrid)
 	}
 	m := s.models
-	mean := maxRun.MeanSample()
 	ws := s.pool.Get().(*sweepWS)
 	defer s.pool.Put(ws)
 
 	if err := s.scaleBase(ws.base, ws.baseRow, mean); err != nil {
 		return cl, err
 	}
-	s.fillDynamic(ws.x, 0, ws.base)
+	s.fillDynamic(ws.x, ws.base)
 	if err := m.Power.Predictor().PredictMatInto(ws.pP, ws.x); err != nil {
 		return cl, fmt.Errorf("core: power prediction: %w", err)
 	}
 	if err := m.Time.Predictor().PredictMatInto(ws.tP, ws.x); err != nil {
 		return cl, fmt.Errorf("core: time prediction: %w", err)
 	}
-	s.compose(dst, &cl, ws.pP, ws.tP, 0, maxRun.ExecTimeSec)
+	s.compose(dst, &cl, ws.pP, ws.tP, maxRun.ExecTimeSec)
 	return cl, nil
 }
 
 // ValidateRun applies the online phase's profiling-run preconditions
-// without predicting anything. Serving layers use it to reject a bad
-// request before it is queued, keeping the fused batch path error-free.
-func (s *Sweeper) ValidateRun(maxRun dcgm.Run) error { return s.validateRun(maxRun) }
-
-// PredictProfilesInto runs the online phase for a batch of profiling runs
-// through ONE fused forward pass per model: the runs' sweep rows are
-// stacked into a single (len(runs)·GridSize()) × features matrix and
-// pushed through the power and time networks once, so the per-layer
-// traversal cost is amortized across the whole batch. dsts[i] receives
-// run i's profiles (each buffer must have GridSize() entries) and
-// clamped[i] its per-axis safety-floor clamp counts.
-//
-// Every output value is bit-identical to calling PredictProfileInto once
-// per run, at any batch size: the feature fill, the scaler, and the
-// forward-pass kernels are all row-independent with an unchanged
-// per-row summation order. Workspaces are pooled and grow-only (static
-// columns re-staged only when the stacked matrix is reallocated or the
-// batch outgrows what was staged), so steady-state batches of a stable
-// size allocate nothing. Safe for concurrent use like PredictProfileInto.
-func (s *Sweeper) PredictProfilesInto(dsts [][]objective.Profile, clamped []Clamps, runs []dcgm.Run) error {
-	if len(dsts) != len(runs) || len(clamped) != len(runs) {
-		return fmt.Errorf("core: batch sweep has %d runs but %d profile buffers and %d clamp slots", len(runs), len(dsts), len(clamped))
-	}
-	if len(runs) == 0 {
-		return nil
-	}
-	for i, r := range runs {
-		if err := s.validateRun(r); err != nil {
-			return fmt.Errorf("core: batch run %d: %w", i, err)
-		}
-		if len(dsts[i]) != s.nGrid {
-			return fmt.Errorf("core: batch profile buffer %d has %d entries, sweep has %d design points", i, len(dsts[i]), s.nGrid)
-		}
-	}
-	m := s.models
-	nf := len(m.Features)
-	rows := len(runs) * s.nGrid
-	ws := s.batchPool.Get().(*batchWS)
-	defer s.batchPool.Put(ws)
-	x, grew := reshapeMat(&ws.x, rows, nf)
-	if grew {
-		ws.stagedRows = 0
-	}
-	if ws.stagedRows < rows {
-		s.stageStatic(x, ws.stagedRows, rows)
-		ws.stagedRows = rows
-	}
-
-	for bi := range runs {
-		if err := s.scaleBase(ws.base, ws.baseRow, runs[bi].MeanSample()); err != nil {
-			return err
-		}
-		s.fillDynamic(x, bi*s.nGrid, ws.base)
-	}
-	pP, _ := reshapeMat(&ws.pP, rows, 1)
-	tP, _ := reshapeMat(&ws.tP, rows, 1)
-	if err := m.Power.Predictor().PredictMatInto(pP, x); err != nil {
-		return fmt.Errorf("core: power prediction: %w", err)
-	}
-	if err := m.Time.Predictor().PredictMatInto(tP, x); err != nil {
-		return fmt.Errorf("core: time prediction: %w", err)
-	}
-	for bi, run := range runs {
-		var cl Clamps
-		s.compose(dsts[bi], &cl, pP, tP, bi*s.nGrid, run.ExecTimeSec)
-		clamped[bi] = cl
-	}
-	return nil
+// without predicting anything, so a caller can reject a bad run before
+// doing any other work for it.
+func (s *Sweeper) ValidateRun(maxRun dcgm.Run) error {
+	_, err := s.validateRun(maxRun)
+	return err
 }
 
 // PredictProfile is the allocating convenience form of PredictProfileInto.

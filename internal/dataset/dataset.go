@@ -286,6 +286,17 @@ func FeatureVector(features []string, s dcgm.Sample, freqMHz, maxFreqMHz float64
 	return out, nil
 }
 
+// Feature returns one named feature of a telemetry sample at the sample's
+// own clocks — the value FeatureVector puts in that column when freqMHz is
+// the sample's clock.
+func Feature(name string, s dcgm.Sample, maxFreqMHz float64) (float64, error) {
+	e, ok := extractors[name]
+	if !ok {
+		return 0, fmt.Errorf("dataset: unknown feature %q", name)
+	}
+	return e(s, maxFreqMHz, 0), nil
+}
+
 // FeatureVectorInto fills dst (len(features)) like FeatureVector without
 // allocating — the entry point the serving hot path uses to rebuild sweep
 // rows in place. The memory-clock feature, if present, takes the sample's

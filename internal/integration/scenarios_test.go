@@ -134,8 +134,8 @@ func TestReplaySoakBinaries(t *testing.T) {
 
 // saveChunkyModels writes deliberately oversized random-weight models:
 // wide hidden layers make every design-space sweep take real milliseconds
-// of forward passes, so a bounded queue observably backs up under
-// concurrent load. Answer quality is irrelevant here — only dispatch cost.
+// of forward passes, so a bounded admission gate observably fills under
+// concurrent load. Answer quality is irrelevant here — only sweep cost.
 func saveChunkyModels(t *testing.T) string {
 	t.Helper()
 	arch := sim.GA100().Spec()
@@ -164,8 +164,8 @@ func saveChunkyModels(t *testing.T) string {
 	return dir
 }
 
-// TestOverloadShedsThroughRouter saturates a deliberately tiny sweep
-// queue (-queue 1, unbatched) with cold misses through the router: some
+// TestOverloadShedsThroughRouter saturates a deliberately tiny admission
+// gate (-queue 1) with cold misses through the router: some
 // requests must shed with 429, every 429 must carry the backend's
 // Retry-After header verbatim through the proxy, and the daemon must
 // stay healthy enough to serve 200s afterwards.
@@ -176,11 +176,11 @@ func TestOverloadShedsThroughRouter(t *testing.T) {
 	servedBin, routerBin := buildBinaries(t)
 	models := saveChunkyModels(t)
 
-	// Queue bound 1, no batching, and the full (core × memory) grid per
-	// sweep: each dispatch is as expensive as the stack gets, so sustained
-	// concurrency reliably finds the queue occupied.
+	// Admission bound 1 and the full (core × memory) grid per sweep: each
+	// sweep is as expensive as the stack gets, so sustained concurrency
+	// reliably finds the gate occupied.
 	rep := startDaemon(t, servedBin, "-addr", "127.0.0.1:0", "-models", models,
-		"-seed", "11", "-queue", "1", "-max-batch", "1", "-max-wait", "-1ms", "-mem-freqs", "all")
+		"-seed", "11", "-queue", "1", "-mem-freqs", "all")
 	front := startDaemon(t, routerBin, "-addr", "127.0.0.1:0",
 		"-replicas", "http://"+rep.addr, "-health-interval", "100ms")
 	frontURL := "http://" + front.addr
@@ -191,7 +191,7 @@ func TestOverloadShedsThroughRouter(t *testing.T) {
 
 	// The saturating hammer rides /v1/profile: unlike select, every
 	// profile request is an uncached sweep submission, so sustained
-	// concurrency keeps the single-slot queue under continuous pressure.
+	// concurrency keeps the single-slot gate under continuous pressure.
 	apps := workloads.Names()
 	const workers, perWorker = 16, 12
 	var ok200, shed429, badRetry, other atomic.Uint64

@@ -97,7 +97,13 @@ func startDaemon(t *testing.T, bin string, args ...string) *daemon {
 	go func() { d.errc <- cmd.Wait() }()
 	t.Cleanup(func() {
 		cmd.Process.Kill() //nolint:errcheck // no-op if already exited
-		<-d.errc
+		// Bounded: if sigterm already consumed the exit status and then
+		// failed, nothing more arrives here, and its own failure message
+		// must not hide behind the package timeout.
+		select {
+		case <-d.errc:
+		case <-time.After(10 * time.Second):
+		}
 	})
 
 	addrCh := make(chan string, 1)

@@ -11,7 +11,7 @@
 // pooled buffer.
 //
 // Gauges are callbacks, not stored values: the registry reads the live
-// counter sources (sharded cache stats, batcher queue depth) at render
+// counter sources (sharded cache stats, admitted sweeps) at render
 // time, so the serve path never pays to mirror state it already keeps.
 package obs
 
@@ -161,7 +161,7 @@ func (r *Registry) Gauge(name, help, labels string, fn func() float64) {
 // CounterFunc registers a callback-backed counter: fn is read at render
 // time, like a gauge, but the series is exposed with counter semantics.
 // Use it to export monotone counts the instrumented code already keeps
-// (cache hit totals, batcher shed counts) without mirroring them into a
+// (cache hit totals, shed counts) without mirroring them into a
 // second atomic on the hot path.
 func (r *Registry) CounterFunc(name, help, labels string, fn func() float64) {
 	r.add(&metric{name: name, help: help, kind: kindCounter, labels: labels, gaugeFn: fn})

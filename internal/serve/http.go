@@ -57,10 +57,10 @@ type httpAPI struct {
 //
 //	POST /v1/select  {"workload": "LAMMPS"}  → frequency selection
 //	POST /v1/profile {"workload": "LAMMPS"}  → predicted DVFS profile table
-//	GET  /v1/stats                           → cache/batcher/HTTP counters
+//	GET  /v1/stats                           → cache/HTTP counters
 //	GET  /metrics                            → Prometheus text exposition
 //
-// Overload from the bounded sweep queue maps to 429 with a Retry-After
+// Overload from the bounded admission gate maps to 429 with a Retry-After
 // hint; the daemon never queues without bound.
 func NewHandler(s *Server, cfg HTTPConfig) (http.Handler, error) {
 	if s == nil {
@@ -88,14 +88,14 @@ func NewHandler(s *Server, cfg HTTPConfig) (http.Handler, error) {
 // registerMetrics exports the serving counters the stack already keeps —
 // callback-backed, so nothing on the request path is double-counted or
 // mirrored. Per-shard cache series expose key-space skew across the lock
-// stripes; the queue-depth gauge is the batcher's live backlog.
+// stripes; the admitted-sweeps gauge is the admission gate's live load.
 func (a *httpAPI) registerMetrics(reg *obs.Registry) {
 	cache := a.srv.Cache()
 	reg.CounterFunc("dvfs_served_selects_total", "Completed /v1/select requests.", "",
 		func() float64 { return float64(a.selects.Load()) })
 	reg.CounterFunc("dvfs_served_profiles_total", "Completed /v1/profile requests.", "",
 		func() float64 { return float64(a.profiles.Load()) })
-	reg.CounterFunc("dvfs_served_shed_total", "Requests shed with 429 by the bounded sweep queue.", "",
+	reg.CounterFunc("dvfs_served_shed_total", "Requests shed with 429 by the sweep admission gate.", "",
 		func() float64 { return float64(a.shed.Load()) })
 	reg.CounterFunc("dvfs_served_failed_total", "Requests failed with 4xx/5xx (excluding sheds).", "",
 		func() float64 { return float64(a.failed.Load()) })
@@ -107,10 +107,8 @@ func (a *httpAPI) registerMetrics(reg *obs.Registry) {
 		func() float64 { return float64(cache.Stats().Evictions) })
 	reg.Gauge("dvfs_served_cache_entries", "Memoized selections resident.", "",
 		func() float64 { return float64(cache.Len()) })
-	reg.Gauge("dvfs_served_batch_queue_depth", "Sweep requests queued on the miss path.", "",
-		func() float64 { return float64(a.srv.QueueLen()) })
-	reg.CounterFunc("dvfs_served_batch_shed_total", "Sweeps shed by the batcher's bounded queue.", "",
-		func() float64 { return float64(a.srv.Stats().Batch.Shed) })
+	reg.Gauge("dvfs_served_sweeps_admitted", "Sweeps admitted by the gate, running or waiting for a run slot.", "",
+		func() float64 { return float64(a.srv.Admitted()) })
 	reg.Gauge("dvfs_served_uptime_seconds", "Seconds since the handler was assembled.", "",
 		func() float64 { return time.Since(a.start).Seconds() })
 	for i := 0; i < cache.Shards(); i++ {
@@ -224,14 +222,6 @@ type statsResponse struct {
 		Entries   int    `json:"entries"`
 		Shards    int    `json:"shards"`
 	} `json:"cache"`
-	Batch struct {
-		Requests uint64 `json:"requests"`
-		Batches  uint64 `json:"batches"`
-		Batched  uint64 `json:"batched"`
-		Shed     uint64 `json:"shed"`
-		Canceled uint64 `json:"canceled"`
-		MaxBatch int    `json:"max_batch"`
-	} `json:"batch"`
 	HTTP struct {
 		Selects  uint64 `json:"selects"`
 		Profiles uint64 `json:"profiles"`
@@ -420,12 +410,6 @@ func (a *httpAPI) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Cache.Evictions = st.Cache.Evictions
 	resp.Cache.Entries = st.CacheLen
 	resp.Cache.Shards = a.srv.Cache().Shards()
-	resp.Batch.Requests = st.Batch.Requests
-	resp.Batch.Batches = st.Batch.Batches
-	resp.Batch.Batched = st.Batch.Batched
-	resp.Batch.Shed = st.Batch.Shed
-	resp.Batch.Canceled = st.Batch.Canceled
-	resp.Batch.MaxBatch = st.Batch.MaxBatch
 	resp.HTTP.Selects = a.selects.Load()
 	resp.HTTP.Profiles = a.profiles.Load()
 	resp.HTTP.Shed = a.shed.Load()

@@ -17,17 +17,9 @@ import (
 	"gpudvfs/internal/obs"
 )
 
-func testHandler(t *testing.T, batch BatcherConfig) (http.Handler, *Server) {
+func testHandler(t *testing.T, queue int) (http.Handler, *Server) {
 	t.Helper()
-	sw := testSweeper(t)
-	srv, err := NewServer(sw, ServerConfig{
-		Cache: core.PlanCacheConfig{Objective: objective.EDP{}, Threshold: -1},
-		Batch: batch,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
+	srv := newTestServer(t, testSweeper(t), queue)
 	h, err := NewHandler(srv, HTTPConfig{Device: sim.New(sim.GA100(), 3), ProfileSeed: 11})
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +42,7 @@ func postJSON(t *testing.T, ts *httptest.Server, path, body string) (*http.Respo
 }
 
 func TestHTTPSelectAndStats(t *testing.T) {
-	h, _ := testHandler(t, BatcherConfig{})
+	h, _ := testHandler(t, 0)
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
@@ -130,13 +122,13 @@ func TestHTTPSelectAndStats(t *testing.T) {
 	if st.HTTP.Selects != 2 || st.HTTP.Failed == 0 {
 		t.Fatalf("stats http: %+v", st.HTTP)
 	}
-	if st.Cache.Shards == 0 || st.Batch.MaxBatch == 0 {
+	if st.Cache.Shards == 0 {
 		t.Fatalf("stats missing config echoes: %+v", st)
 	}
 }
 
 func TestHTTPProfile(t *testing.T) {
-	h, srv := testHandler(t, BatcherConfig{})
+	h, srv := testHandler(t, 0)
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
@@ -165,46 +157,36 @@ func TestHTTPProfile(t *testing.T) {
 	}
 }
 
-// TestHTTPOverloadSheds is the acceptance-criterion load test: with the
-// dispatcher stalled, fire 10× the queue bound in concurrent requests.
-// Every response must be 200 or 429 (zero panics / hangs / 5xx), at least
-// one request must be shed with 429 + Retry-After, and the server must
-// still serve normally afterwards.
+// TestHTTPOverloadSheds is the acceptance-criterion load test: with every
+// run slot of the admission gate held, fire 10× the queue bound in
+// concurrent requests. Every response must be 200 or 429 (zero panics /
+// hangs / 5xx), at least one request must be shed with 429 + Retry-After,
+// and the server must still serve normally afterwards.
 func TestHTTPOverloadSheds(t *testing.T) {
 	const depth = 4
-	release := make(chan struct{})
-	var hookOnce sync.Once
-	started := make(chan struct{})
-	testHookBeforeBatch = func(int) {
-		hookOnce.Do(func() { close(started) })
-		select {
-		case <-release:
-		case <-time.After(10 * time.Second):
-		}
-	}
-	defer func() { testHookBeforeBatch = nil }()
-
-	h, srv := testHandler(t, BatcherConfig{MaxBatch: 1, MaxWait: -1, QueueDepth: depth})
+	h, srv := testHandler(t, depth)
 	ts := httptest.NewServer(h)
 	defer ts.Close()
+	shedCount := func() uint64 {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st statsResponse
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return st.HTTP.Shed
+	}
 
 	// Distinct workloads profile to distinct runs, so every request is a
-	// cache miss that needs the (stalled) batcher.
-	names := []string{"DGEMM", "STREAM", "NW", "LAMMPS", "GROMACS", "NAMD"}
-
-	// Prime: one request occupies the dispatcher inside the hook.
-	primeDone := make(chan int, 1)
-	go func() {
-		resp, err := http.Post(ts.URL+"/v1/select", "application/json", strings.NewReader(`{"workload": "DGEMM"}`))
-		if err != nil {
-			primeDone <- 0
-			return
-		}
-		resp.Body.Close()
-		primeDone <- resp.StatusCode
-	}()
-	<-started
-
+	// cache miss that needs a sweep. With the run slots held, admitted
+	// sweeps wait, and once more buckets sweep than the gate admits one
+	// must shed.
+	names := []string{"STREAM", "NW", "LAMMPS", "GROMACS", "NAMD"}
+	release := holdRunSlots(srv)
 	const total = 10 * depth
 	codes := make(chan int, total)
 	var wg sync.WaitGroup
@@ -212,7 +194,7 @@ func TestHTTPOverloadSheds(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			body := fmt.Sprintf(`{"workload": %q}`, names[1+i%(len(names)-1)])
+			body := fmt.Sprintf(`{"workload": %q}`, names[i%len(names)])
 			resp, err := http.Post(ts.URL+"/v1/select", "application/json", strings.NewReader(body))
 			if err != nil {
 				t.Errorf("request %d: %v", i, err)
@@ -226,22 +208,18 @@ func TestHTTPOverloadSheds(t *testing.T) {
 			codes <- resp.StatusCode
 		}(i)
 	}
-	// With the dispatcher stalled the queue cannot drain, so once more
-	// sweep buckets have submitted than QueueDepth one must shed. Wait for
-	// that before releasing — queued requests block until the release, so
-	// releasing must precede wg.Wait().
+	// Admitted requests block until the release, so releasing must
+	// precede wg.Wait().
 	deadline := time.Now().Add(10 * time.Second)
-	for srv.Stats().Batch.Shed == 0 {
+	for shedCount() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("no shed observed with the dispatcher stalled")
+			release()
+			t.Fatal("no shed observed with the run slots held")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	close(release)
+	release()
 	wg.Wait()
-	if code := <-primeDone; code != http.StatusOK {
-		t.Fatalf("prime request: status %d", code)
-	}
 
 	shed := 0
 	for i := 0; i < total; i++ {
@@ -263,18 +241,8 @@ func TestHTTPOverloadSheds(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-overload select: status %d, body %s", resp.StatusCode, body)
 	}
-
-	statsResp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer statsResp.Body.Close()
-	var st statsResponse
-	if err := json.NewDecoder(statsResp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if st.HTTP.Shed == 0 || st.Batch.Shed == 0 {
-		t.Fatalf("shed not counted: %+v", st)
+	if srv.Admitted() != 0 {
+		t.Fatalf("gate still holds %d sweeps after the overload", srv.Admitted())
 	}
 }
 
@@ -299,7 +267,7 @@ func TestNewHandlerValidation(t *testing.T) {
 // grid server reports the selected memory P-state, a memory clock per
 // profile point, and the memory-axis clamp share.
 func TestHTTPMemAxisWireCompat(t *testing.T) {
-	h, _ := testHandler(t, BatcherConfig{})
+	h, _ := testHandler(t, 0)
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 	for _, path := range []string{"/v1/select", "/v1/profile"} {
@@ -370,7 +338,7 @@ func TestHTTPMemAxisWireCompat(t *testing.T) {
 // uptime_seconds field and a per-shard counter breakdown whose totals
 // reconcile with the aggregate cache counters.
 func TestHTTPStatsShardsAndUptime(t *testing.T) {
-	h, srv := testHandler(t, BatcherConfig{})
+	h, srv := testHandler(t, 0)
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
@@ -418,10 +386,10 @@ func TestHTTPStatsShardsAndUptime(t *testing.T) {
 }
 
 // TestHTTPMetricsEndpoint: the daemon's /metrics scrape carries request
-// histograms, cache counters (aggregate and per-shard), and the batcher
-// queue-depth gauge.
+// histograms, cache counters (aggregate and per-shard), and the admitted-
+// sweeps gauge.
 func TestHTTPMetricsEndpoint(t *testing.T) {
-	h, _ := testHandler(t, BatcherConfig{})
+	h, _ := testHandler(t, 0)
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
@@ -444,7 +412,7 @@ func TestHTTPMetricsEndpoint(t *testing.T) {
 		"dvfs_served_profiles_total 1",
 		"dvfs_served_cache_hits_total 1",
 		"dvfs_served_cache_misses_total 1",
-		"dvfs_served_batch_queue_depth 0",
+		"dvfs_served_sweeps_admitted 0",
 		"dvfs_served_uptime_seconds",
 		`dvfs_served_request_seconds_count{route="select"} 2`,
 		`dvfs_served_request_seconds_count{route="profile"} 1`,

@@ -9,9 +9,9 @@ import (
 	"gpudvfs/internal/objective"
 )
 
-func benchServer(b *testing.B, cache core.PlanCacheConfig, batch BatcherConfig) *Server {
+func benchServer(b *testing.B, cache core.PlanCacheConfig) *Server {
 	b.Helper()
-	srv, err := NewServer(testSweeper(b), ServerConfig{Cache: cache, Batch: batch})
+	srv, err := NewServer(testSweeper(b), ServerConfig{Cache: cache})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -20,9 +20,9 @@ func benchServer(b *testing.B, cache core.PlanCacheConfig, batch BatcherConfig) 
 }
 
 // BenchmarkServeSelectHit is the steady-state serving fast path: every
-// request hits the sharded cache, never touching the batcher.
+// request hits the sharded cache, never touching the admission gate.
 func BenchmarkServeSelectHit(b *testing.B) {
-	srv := benchServer(b, core.PlanCacheConfig{Objective: objective.EDP{}, Threshold: -1}, BatcherConfig{})
+	srv := benchServer(b, core.PlanCacheConfig{Objective: objective.EDP{}, Threshold: -1})
 	run := syntheticRun(0.42, 0.3)
 	ctx := context.Background()
 	if _, _, err := srv.Select(ctx, run); err != nil {
@@ -40,12 +40,10 @@ func BenchmarkServeSelectHit(b *testing.B) {
 }
 
 // BenchmarkServeSelectMiss drives all-miss concurrent Selects through the
-// full stack — sharded cache, singleflight, micro-batched fused sweeps. A
+// full stack — sharded cache, singleflight, gated direct sweeps. A
 // capacity-1 cache keeps every request on the miss path.
 func BenchmarkServeSelectMiss(b *testing.B) {
-	srv := benchServer(b,
-		core.PlanCacheConfig{Objective: objective.EDP{}, Threshold: -1, Capacity: 1},
-		BatcherConfig{MaxWait: -1})
+	srv := benchServer(b, core.PlanCacheConfig{Objective: objective.EDP{}, Threshold: -1, Capacity: 1})
 	runs := uniqueRuns(1024)
 	ctx := context.Background()
 	var next atomic.Uint64
@@ -61,23 +59,23 @@ func BenchmarkServeSelectMiss(b *testing.B) {
 	})
 }
 
-// BenchmarkBatcherPredict routes single sweeps through the batcher with no
-// coalescing opportunity — the per-request overhead floor of the queue,
-// handoff, and dispatcher round trip relative to a direct sweeper call.
-func BenchmarkBatcherPredict(b *testing.B) {
-	sw := testSweeper(b)
-	bt, err := NewBatcher(sw, BatcherConfig{MaxWait: -1})
-	if err != nil {
+// BenchmarkServePredict routes single sweeps through the admission gate
+// into a caller-owned buffer — the gate's per-request overhead relative to
+// a direct sweeper call, with the same zero allocations.
+func BenchmarkServePredict(b *testing.B) {
+	srv := benchServer(b, core.PlanCacheConfig{Objective: objective.EDP{}, Threshold: -1})
+	run := syntheticRun(0.42, 0.3)
+	dst := make([]objective.Profile, srv.Sweeper().GridSize())
+	ctx := context.Background()
+	// Warm the sweep workspace pools so even a one-iteration smoke run
+	// reports the steady state.
+	if _, err := srv.sweep(ctx, dst, run); err != nil {
 		b.Fatal(err)
 	}
-	b.Cleanup(bt.Close)
-	run := syntheticRun(0.42, 0.3)
-	dst := make([]objective.Profile, len(sw.Freqs()))
-	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := bt.PredictProfileInto(ctx, dst, run); err != nil {
+		if _, err := srv.sweep(ctx, dst, run); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -85,40 +87,144 @@ func profilesIdentical(a, b []objective.Profile) bool {
 	return true
 }
 
-// TestBatcherMatchesDirectSweep: results through the batcher are
-// bit-identical to the direct per-request sweep at batch sizes 1, 7, 64 —
-// the differential acceptance criterion, exercised through real concurrent
-// submitters so fusing actually happens.
-func TestBatcherMatchesDirectSweep(t *testing.T) {
-	sw := testSweeper(t)
-	for _, n := range []int{1, 7, 64} {
-		t.Run(fmt.Sprintf("batch%d", n), func(t *testing.T) {
-			b, err := NewBatcher(sw, BatcherConfig{MaxBatch: 16, MaxWait: 500 * time.Microsecond, QueueDepth: 2 * n})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer b.Close()
+// holdRunSlots takes every run slot of srv's admission gate, so admitted
+// sweeps wait until the returned release is called.
+func holdRunSlots(srv *Server) (release func()) {
+	for i := 0; i < cap(srv.run); i++ {
+		srv.run <- struct{}{}
+	}
+	return func() {
+		for i := 0; i < cap(srv.run); i++ {
+			<-srv.run
+		}
+	}
+}
 
+// waitAdmitted polls until the gate holds n sweeps.
+func waitAdmitted(t *testing.T, srv *Server, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Admitted() != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("gate holds %d sweeps, want %d", srv.Admitted(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func newTestServer(t *testing.T, sw *core.Sweeper, queue int) *Server {
+	t.Helper()
+	srv, err := NewServer(sw, ServerConfig{
+		Cache: core.PlanCacheConfig{Objective: objective.EDP{}, Threshold: -1},
+		Queue: queue,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// TestServerAdmission pins the admission gate: a sweep abandoned while it
+// waits for a run slot returns ctx.Err() and frees its admission, the gate
+// sheds at exactly Queue, Close turns every later sweep into ErrClosed,
+// and concurrent gated sweeps are bit-identical to the direct sweep.
+func TestServerAdmission(t *testing.T) {
+	sw := testSweeper(t)
+	predict := func(srv *Server, ctx context.Context, run dcgm.Run) chan error {
+		done := make(chan error, 1)
+		go func() {
+			_, _, err := srv.Predict(ctx, run)
+			done <- err
+		}()
+		return done
+	}
+
+	t.Run("cancel while waiting", func(t *testing.T) {
+		srv := newTestServer(t, sw, 4)
+		release := holdRunSlots(srv)
+		defer release()
+		ctx, cancel := context.WithCancel(context.Background())
+		done := predict(srv, ctx, syntheticRun(0.3, 0.3))
+		waitAdmitted(t, srv, 1)
+		cancel()
+		select {
+		case err := <-done:
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("canceled sweep: got %v, want context.Canceled", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("canceled sweep did not return")
+		}
+		waitAdmitted(t, srv, 0)
+	})
+
+	t.Run("sheds at queue", func(t *testing.T) {
+		const queue = 3
+		srv := newTestServer(t, sw, queue)
+		release := holdRunSlots(srv)
+		waiting := make([]chan error, queue)
+		for i := range waiting {
+			waiting[i] = predict(srv, context.Background(), syntheticRun(0.1+0.2*float64(i), 0.2))
+		}
+		waitAdmitted(t, srv, queue)
+		if _, _, err := srv.Predict(context.Background(), syntheticRun(0.9, 0.9)); !errors.Is(err, ErrOverloaded) {
+			release()
+			t.Fatalf("sweep past the bound: got %v, want ErrOverloaded", err)
+		}
+		release()
+		for i, done := range waiting {
+			if err := <-done; err != nil {
+				t.Fatalf("admitted sweep %d: %v", i, err)
+			}
+		}
+		waitAdmitted(t, srv, 0)
+		if _, _, err := srv.Predict(context.Background(), syntheticRun(0.9, 0.9)); err != nil {
+			t.Fatalf("sweep after the gate drained: %v", err)
+		}
+	})
+
+	t.Run("close", func(t *testing.T) {
+		srv := newTestServer(t, sw, 4)
+		release := holdRunSlots(srv)
+		defer release()
+		done := predict(srv, context.Background(), syntheticRun(0.3, 0.3))
+		waitAdmitted(t, srv, 1)
+		srv.Close()
+		srv.Close() // idempotent
+		if err := <-done; !errors.Is(err, ErrClosed) {
+			t.Fatalf("sweep waiting at close: got %v, want ErrClosed", err)
+		}
+		if _, _, err := srv.Predict(context.Background(), syntheticRun(0.5, 0.5)); !errors.Is(err, ErrClosed) {
+			t.Fatalf("Predict after close: got %v, want ErrClosed", err)
+		}
+		if _, _, err := srv.Select(context.Background(), syntheticRun(0.5, 0.5)); !errors.Is(err, ErrClosed) {
+			t.Fatalf("Select miss after close: got %v, want ErrClosed", err)
+		}
+	})
+
+	for _, n := range []int{1, 7, 64} {
+		t.Run(fmt.Sprintf("matches direct sweep %d", n), func(t *testing.T) {
+			srv := newTestServer(t, sw, n)
 			runs := uniqueRuns(n)
 			want := make([][]objective.Profile, n)
 			wantClamped := make([]core.Clamps, n)
 			for i, r := range runs {
-				want[i] = make([]objective.Profile, len(sw.Freqs()))
+				var err error
+				want[i] = make([]objective.Profile, sw.GridSize())
 				if wantClamped[i], err = sw.PredictProfileInto(want[i], r); err != nil {
 					t.Fatal(err)
 				}
 			}
-
 			got := make([][]objective.Profile, n)
 			gotClamped := make([]core.Clamps, n)
 			errs := make([]error, n)
 			var wg sync.WaitGroup
 			for i := range runs {
-				got[i] = make([]objective.Profile, len(sw.Freqs()))
 				wg.Add(1)
 				go func(i int) {
 					defer wg.Done()
-					gotClamped[i], errs[i] = b.PredictProfileInto(context.Background(), got[i], runs[i])
+					got[i], gotClamped[i], errs[i] = srv.Predict(context.Background(), runs[i])
 				}(i)
 			}
 			wg.Wait()
@@ -126,259 +232,54 @@ func TestBatcherMatchesDirectSweep(t *testing.T) {
 				if errs[i] != nil {
 					t.Fatalf("run %d: %v", i, errs[i])
 				}
-				if gotClamped[i] != wantClamped[i] {
-					t.Fatalf("run %d: clamped %+v via batcher, %+v direct", i, gotClamped[i], wantClamped[i])
+				if gotClamped[i] != wantClamped[i] || !profilesIdentical(got[i], want[i]) {
+					t.Fatalf("run %d: gated sweep differs from the direct sweep", i)
 				}
-				if !profilesIdentical(got[i], want[i]) {
-					t.Fatalf("run %d: batched profiles differ from direct sweep", i)
-				}
-			}
-			if st := b.Stats(); st.Requests != uint64(n) || st.Batched != uint64(n) || st.Shed != 0 {
-				t.Fatalf("stats after %d requests: %+v", n, st)
 			}
 		})
 	}
 }
 
-// TestBatcherFusesConcurrentRequests: with the dispatcher stalled until the
-// queue holds several requests, at least one genuinely fused (size > 1)
-// batch must be observed — guarding against a batcher that silently
-// degrades to per-request dispatch.
-func TestBatcherFusesConcurrentRequests(t *testing.T) {
-	sw := testSweeper(t)
-	const n = 8
-	release := make(chan struct{})
-	sizes := make(chan int, n)
-	testHookBeforeBatch = func(size int) {
-		<-release
-		sizes <- size
-	}
-	defer func() { testHookBeforeBatch = nil }()
-
-	b, err := NewBatcher(sw, BatcherConfig{MaxBatch: n, MaxWait: time.Hour, QueueDepth: n})
-	if err != nil {
+// TestNonFiniteTelemetryRejected: a profiling run with a NaN or infinite
+// exec time or feature is refused with a specific error by both the
+// cached and the uncached path, and never enters the plan cache.
+func TestNonFiniteTelemetryRejected(t *testing.T) {
+	srv := newTestServer(t, testSweeper(t), 0)
+	if _, _, err := srv.Select(context.Background(), syntheticRun(0.4, 0.3)); err != nil {
 		t.Fatal(err)
 	}
-	defer b.Close()
-
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			dst := make([]objective.Profile, len(sw.Freqs()))
-			if _, err := b.PredictProfileInto(context.Background(), dst, syntheticRun(0.2+0.01*float64(i), 0.3)); err != nil {
-				t.Error(err)
+	inf := math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		edit func(*dcgm.Run)
+		want string
+	}{
+		{"exec NaN", func(r *dcgm.Run) { r.ExecTimeSec = math.NaN() }, "non-finite exec time"},
+		{"exec +Inf", func(r *dcgm.Run) { r.ExecTimeSec = inf }, "non-finite exec time"},
+		{"exec -Inf", func(r *dcgm.Run) { r.ExecTimeSec = -inf }, "non-finite exec time"},
+		{"feature NaN", func(r *dcgm.Run) { r.Samples[0].DRAMActive = math.NaN() }, "non-finite feature dram_active"},
+		{"feature +Inf", func(r *dcgm.Run) { r.Samples[0].DRAMActive = inf }, "non-finite feature dram_active"},
+		{"feature -Inf", func(r *dcgm.Run) { r.Samples[0].DRAMActive = -inf }, "non-finite feature dram_active"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := syntheticRun(0.4, 0.3)
+			tc.edit(&run)
+			before := srv.Cache().Len()
+			if _, _, err := srv.Cache().Select(run); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("PlanCache.Select: got %v, want an error containing %q", err, tc.want)
 			}
-		}(i)
-	}
-	// Wait for all n submits to be queued (the dispatcher is gathering
-	// with an hour of patience, so they accumulate), then release.
-	deadline := time.Now().Add(5 * time.Second)
-	for b.Stats().Requests < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d requests queued", b.Stats().Requests, n)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
-	wg.Wait()
-
-	st := b.Stats()
-	if st.MaxBatch < 2 {
-		t.Fatalf("no fused batch observed: max batch %d, stats %+v", st.MaxBatch, st)
-	}
-	if st.Batched != n {
-		t.Fatalf("batched %d of %d requests", st.Batched, n)
-	}
-}
-
-// TestBatcherShedsWhenQueueFull: with the dispatcher stalled, submits past
-// QueueDepth fail immediately with ErrOverloaded — bounded memory, no
-// silent queueing.
-func TestBatcherShedsWhenQueueFull(t *testing.T) {
-	sw := testSweeper(t)
-	const depth = 4
-	release := make(chan struct{})
-	var hookOnce sync.Once
-	started := make(chan struct{})
-	testHookBeforeBatch = func(int) {
-		hookOnce.Do(func() { close(started) })
-		<-release
-	}
-	defer func() { testHookBeforeBatch = nil }()
-
-	b, err := NewBatcher(sw, BatcherConfig{MaxBatch: 1, MaxWait: -1, QueueDepth: depth})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-
-	// First request occupies the dispatcher (stalled in the hook)...
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		dst := make([]objective.Profile, len(sw.Freqs()))
-		if _, err := b.PredictProfileInto(context.Background(), dst, syntheticRun(0.5, 0.5)); err != nil {
-			t.Error(err)
-		}
-	}()
-	<-started
-
-	// ...so these fill the queue without being drained...
-	queued := make([]chan error, depth)
-	for i := range queued {
-		queued[i] = make(chan error, 1)
-		go func(i int) {
-			dst := make([]objective.Profile, len(sw.Freqs()))
-			_, err := b.PredictProfileInto(context.Background(), dst, syntheticRun(0.1+0.01*float64(i), 0.2))
-			queued[i] <- err
-		}(i)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for b.Stats().Requests < depth+1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("queue never filled: %+v", b.Stats())
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	// ...and the next submit is shed instantly.
-	dst := make([]objective.Profile, len(sw.Freqs()))
-	if _, err := b.PredictProfileInto(context.Background(), dst, syntheticRun(0.9, 0.9)); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("overflow submit: got %v, want ErrOverloaded", err)
-	}
-	if st := b.Stats(); st.Shed != 1 {
-		t.Fatalf("shed count %d, want 1", st.Shed)
-	}
-
-	close(release)
-	wg.Wait()
-	for i := range queued {
-		if err := <-queued[i]; err != nil {
-			t.Fatalf("queued request %d: %v", i, err)
-		}
-	}
-}
-
-// TestBatcherContextCancelWhileQueued: a request abandoned while still
-// queued returns ctx.Err() promptly and is counted canceled; the dispatcher
-// recycles it without executing.
-func TestBatcherContextCancelWhileQueued(t *testing.T) {
-	sw := testSweeper(t)
-	release := make(chan struct{})
-	var hookOnce sync.Once
-	started := make(chan struct{})
-	testHookBeforeBatch = func(int) {
-		hookOnce.Do(func() { close(started) })
-		<-release
-	}
-	defer func() { testHookBeforeBatch = nil }()
-
-	b, err := NewBatcher(sw, BatcherConfig{MaxBatch: 1, MaxWait: -1, QueueDepth: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		dst := make([]objective.Profile, len(sw.Freqs()))
-		if _, err := b.PredictProfileInto(context.Background(), dst, syntheticRun(0.5, 0.5)); err != nil {
-			t.Error(err)
-		}
-	}()
-	<-started
-
-	ctx, cancel := context.WithCancel(context.Background())
-	result := make(chan error, 1)
-	go func() {
-		dst := make([]objective.Profile, len(sw.Freqs()))
-		_, err := b.PredictProfileInto(ctx, dst, syntheticRun(0.3, 0.3))
-		result <- err
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for b.Stats().Requests < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("second request never queued")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	cancel()
-	select {
-	case err := <-result:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("canceled submit: got %v, want context.Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("canceled submit did not return")
-	}
-	close(release)
-	wg.Wait()
-	if st := b.Stats(); st.Canceled != 1 {
-		t.Fatalf("canceled count %d, want 1", st.Canceled)
-	}
-}
-
-// TestBatcherClose: Close is idempotent, queued requests fail with
-// ErrClosed, and post-close submits are rejected immediately.
-func TestBatcherClose(t *testing.T) {
-	sw := testSweeper(t)
-	b, err := NewBatcher(sw, BatcherConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Close()
-	b.Close() // idempotent
-
-	dst := make([]objective.Profile, len(sw.Freqs()))
-	if _, err := b.PredictProfileInto(context.Background(), dst, syntheticRun(0.5, 0.5)); !errors.Is(err, ErrClosed) {
-		t.Fatalf("post-close submit: got %v, want ErrClosed", err)
-	}
-}
-
-// TestBatcherValidation: bad runs and bad buffers are rejected before
-// queueing, and bad configs are rejected at construction.
-func TestBatcherValidation(t *testing.T) {
-	sw := testSweeper(t)
-	b, err := NewBatcher(sw, BatcherConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-
-	short := make([]objective.Profile, 3)
-	if _, err := b.PredictProfileInto(context.Background(), short, syntheticRun(0.5, 0.5)); err == nil {
-		t.Fatal("short buffer accepted")
-	}
-	offMax := syntheticRun(0.5, 0.5)
-	offMax.FreqMHz = 900
-	dst := make([]objective.Profile, len(sw.Freqs()))
-	if _, err := b.PredictProfileInto(context.Background(), dst, offMax); err == nil {
-		t.Fatal("off-max run accepted")
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := b.PredictProfileInto(ctx, dst, syntheticRun(0.5, 0.5)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-canceled ctx: got %v", err)
-	}
-
-	if _, err := NewBatcher(nil, BatcherConfig{}); err == nil {
-		t.Fatal("nil sweeper accepted")
-	}
-	if _, err := NewBatcher(sw, BatcherConfig{MaxBatch: -2}); err == nil {
-		t.Fatal("negative max batch accepted")
-	}
-	if _, err := NewBatcher(sw, BatcherConfig{QueueDepth: -3}); err == nil {
-		t.Fatal("negative queue depth accepted")
+			if _, _, err := srv.Predict(context.Background(), run); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Server.Predict: got %v, want an error containing %q", err, tc.want)
+			}
+			if after := srv.Cache().Len(); after != before {
+				t.Fatalf("plan cache grew from %d to %d entries", before, after)
+			}
+		})
 	}
 }
 
 // TestServerSelectDifferential: the full serving stack (sharded cache +
-// micro-batcher) under concurrent load returns selections bit-identical to
+// admission gate) under concurrent load returns selections bit-identical to
 // the serial PR 3 path, and hit/miss accounting holds up.
 func TestServerSelectDifferential(t *testing.T) {
 	sw := testSweeper(t)
@@ -399,7 +300,6 @@ func TestServerSelectDifferential(t *testing.T) {
 
 	srv, err := NewServer(sw, ServerConfig{
 		Cache: core.PlanCacheConfig{Objective: objective.EDP{}, Threshold: -1},
-		Batch: BatcherConfig{MaxBatch: 8},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -430,8 +330,8 @@ func TestServerSelectDifferential(t *testing.T) {
 		}
 	}
 
-	// Repeat pass: all hits, batcher untouched beyond the first misses.
-	misses := srv.Stats().Batch.Requests
+	// Repeat pass: all hits, no sweep beyond the first misses.
+	misses := srv.Stats().Cache.Misses
 	for i, r := range runs {
 		sel, hit, err := srv.Select(context.Background(), r)
 		if err != nil {
@@ -445,8 +345,8 @@ func TestServerSelectDifferential(t *testing.T) {
 		}
 	}
 	st := srv.Stats()
-	if st.Batch.Requests != misses {
-		t.Fatalf("repeat pass reached the batcher: %d → %d requests", misses, st.Batch.Requests)
+	if st.Cache.Misses != misses {
+		t.Fatalf("repeat pass swept: %d → %d misses", misses, st.Cache.Misses)
 	}
 	if st.Cache.Hits < nRuns {
 		t.Fatalf("cache hits %d < %d", st.Cache.Hits, nRuns)
@@ -456,7 +356,7 @@ func TestServerSelectDifferential(t *testing.T) {
 	}
 }
 
-// TestServerPredict routes an uncached sweep through the batcher and
+// TestServerPredict routes an uncached sweep through the gate and
 // matches the direct sweeper bit-for-bit.
 func TestServerPredict(t *testing.T) {
 	sw := testSweeper(t)
@@ -498,8 +398,8 @@ func TestServerConfigValidation(t *testing.T) {
 	}
 	if _, err := NewServer(sw, ServerConfig{
 		Cache: core.PlanCacheConfig{Objective: objective.EDP{}},
-		Batch: BatcherConfig{MaxBatch: -1},
+		Queue: -1,
 	}); err == nil {
-		t.Fatal("bad batch config accepted")
+		t.Fatal("negative queue bound accepted")
 	}
 }
