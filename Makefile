@@ -83,7 +83,8 @@ bench-phasecache:
 # fuzz-smoke gives the differential fuzzers a short budget on every check;
 # regressions in kernel exactness, estimator exactness, or plan-cache key
 # aliasing (including the mem-axis-extended keys and the governor's phase
-# fingerprints) surface here first.
+# fingerprints), or a field-scoped telemetry stream drifting from the full
+# one, surface here first.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMulTBBlockedMatchesNaive -fuzztime=5s ./internal/mat
 	$(GO) test -run '^$$' -fuzz FuzzEstimateMatchesBrute -fuzztime=5s ./internal/mi
@@ -91,5 +92,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzPlanKeyGrid$$' -fuzztime=5s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzReplayRoundTrip -fuzztime=5s ./internal/backend/replay
 	$(GO) test -run '^$$' -fuzz FuzzPhaseFingerprint -fuzztime=5s ./internal/governor
+	$(GO) test -run '^$$' -fuzz FuzzStreamFieldsMatchFull -fuzztime=5s ./internal/dcgm
 
 check: fmt-check vet build test race bench-smoke fuzz-smoke

@@ -326,6 +326,11 @@ func governed(dev backend.Device, models *core.Models, cfg config, policy string
 // counters — the CLI's in-process equivalent of the package benchmark's
 // 0 allocs/op pin, recorded in the report so the contract is checked on
 // every bench run, not only under `go test`.
+//
+// The counters also count the runtime's own allocations: restarting the
+// world after ReadMemStats can wake an idle P onto a new OS thread, whose
+// m and g0 are heap-allocated. Like testing.AllocsPerRun, the measurement
+// runs at GOMAXPROCS 1 so there is no idle P to wake.
 func measureRePinAllocs(g *governor.Governor) (float64, error) {
 	phases := g.Phases()
 	if len(phases) == 0 {
@@ -337,6 +342,7 @@ func measureRePinAllocs(g *governor.Governor) (float64, error) {
 		return 0, fmt.Errorf("re-pin warm-up missed (ok=%v err=%v)", ok, err)
 	}
 	const iters = 1000
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	runtime.GC()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)

@@ -147,13 +147,20 @@ type Sampler interface {
 // Profile's Run.Samples, in order, drawn from the same noise stream for
 // stochastic backends. Batch profiling is therefore implemented on top of
 // the streaming form, never the other way around.
+//
+// A stream is scoped to a field set: the yielded samples carry the
+// requested fields bit-identical to the full stream's and zero elsewhere.
+// Scoping never shifts the noise schedule — a stochastic backend draws
+// every field's noise whether or not it synthesizes the field — so which
+// fields one run asked for cannot change any later run's values.
 type StreamSampler interface {
 	Sampler
 	// ProfileStream runs w once at the device's current clocks, invoking
-	// yield for every telemetry sample as it is produced (a nil yield
-	// discards samples). The returned Run carries the run's identity and
-	// run-level outcomes with Samples nil: retention is the caller's
-	// decision, which is what keeps a long-lived control loop free of
-	// per-run allocations.
-	ProfileStream(w Workload, runIndex int, yield func(Sample)) (Run, error)
+	// yield for every telemetry sample as it is produced, with the metric
+	// fields outside fields zeroed. A nil yield discards samples and
+	// synthesizes no fields at all. The returned Run carries the run's
+	// identity and run-level outcomes with Samples nil: retention is the
+	// caller's decision, which is what keeps a long-lived control loop
+	// free of per-run allocations.
+	ProfileStream(w Workload, runIndex int, fields FieldSet, yield func(Sample)) (Run, error)
 }

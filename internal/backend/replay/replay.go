@@ -229,8 +229,10 @@ func (c *sampler) Profile(w backend.Workload, runIndex int) (backend.Run, error)
 // carries the run-level outcomes with Samples nil. Under TimeCompression
 // the recorded execution time is spread evenly across the samples, so a
 // streaming consumer sees telemetry arrive at the recording's (compressed)
-// cadence instead of all at once at the end.
-func (c *sampler) ProfileStream(w backend.Workload, runIndex int, yield func(backend.Sample)) (backend.Run, error) {
+// cadence instead of all at once at the end. Metric fields outside fields
+// are zeroed in the yielded copies; the recording itself is never
+// written.
+func (c *sampler) ProfileStream(w backend.Workload, runIndex int, fields backend.FieldSet, yield func(backend.Sample)) (backend.Run, error) {
 	run, err := c.lookup(w, runIndex)
 	if err != nil {
 		return backend.Run{}, err
@@ -244,7 +246,7 @@ func (c *sampler) ProfileStream(w backend.Workload, runIndex int, yield func(bac
 			time.Sleep(pause)
 		}
 		if yield != nil {
-			yield(run.Samples[i])
+			yield(fields.Mask(run.Samples[i]))
 		}
 	}
 	run.Samples = nil

@@ -39,12 +39,12 @@ func newSampler(dev *gpusim.Device, cfg backend.SampleConfig) *sampler {
 }
 
 // Profile executes w once at the current clock and samples its telemetry.
-// It is the batch view of ProfileStream: the yielded samples are collected
-// into Run.Samples, so the two forms are byte-identical for equal sampler
-// state.
+// It is the batch view of ProfileStream over every field: the yielded
+// samples are collected into Run.Samples, so the two forms are
+// byte-identical for equal sampler state.
 func (c *sampler) Profile(w backend.Workload, runIndex int) (backend.Run, error) {
 	var samples []backend.Sample
-	run, err := c.ProfileStream(w, runIndex, func(s backend.Sample) {
+	run, err := c.ProfileStream(w, runIndex, backend.AllFields, func(s backend.Sample) {
 		samples = append(samples, s)
 	})
 	if err != nil {
@@ -61,10 +61,13 @@ func (c *sampler) Profile(w backend.Workload, runIndex int) (backend.Run, error)
 // host-bound stretches report a near-idle GPU. Phases are interleaved with
 // Bresenham accumulation so the sample mix matches the run's busy fraction
 // exactly; the mean over samples therefore reproduces the whole-run
-// averages. Noise draws happen whether or not yield is nil, so a stream
-// that discards samples leaves the noise schedule identical to one that
-// keeps them.
-func (c *sampler) ProfileStream(w backend.Workload, runIndex int, yield func(backend.Sample)) (backend.Run, error) {
+// averages.
+//
+// Every field draws its noise deviate, in a fixed order, whether or not
+// it is synthesized: fields outside the set (all of them when yield is
+// nil) skip only the exp/scale/clamp and read as zero, so a scoped or
+// discarding stream leaves the noise schedule identical to a full one.
+func (c *sampler) ProfileStream(w backend.Workload, runIndex int, fields backend.FieldSet, yield func(backend.Sample)) (backend.Run, error) {
 	raw, err := asKernelProfile(w)
 	if err != nil {
 		return backend.Run{}, err
@@ -95,6 +98,9 @@ func (c *sampler) ProfileStream(w backend.Workload, runIndex int, yield func(bac
 		AvgPowerWatts: exec.AvgPowerWatts,
 		EnergyJoules:  exec.EnergyJoules,
 	}
+	if yield == nil {
+		fields = 0
+	}
 	interval := c.cfg.Interval.Seconds()
 	n := int(exec.TimeSec / interval)
 	if n < 1 {
@@ -123,33 +129,33 @@ func (c *sampler) ProfileStream(w backend.Workload, runIndex int, yield func(bac
 		if active {
 			s = backend.Sample{
 				TimeSec:        t,
-				FP64Active:     c.noisyAct(st.ActiveFP64Active),
-				FP32Active:     c.noisyAct(st.ActiveFP32Active),
-				SMAppClockMHz:  exec.FreqMHz * c.factor(clockNoise),
-				DRAMActive:     c.noisyAct(st.ActiveDRAMActive),
-				GrEngineActive: c.noisyAct(1),
-				GPUUtilization: c.noisyAct(1),
-				PowerUsage:     st.ActivePowerWatts * powerScale * c.factor(powerNoise),
-				SMActive:       c.noisyAct(st.ActiveSMActive),
-				SMOccupancy:    c.noisyAct(st.ActiveSMOcc),
-				PCIeTxMBps:     k.PCIeTxMBps * c.factor(activityNoise),
-				PCIeRxMBps:     k.PCIeRxMBps * c.factor(activityNoise),
+				FP64Active:     c.noisyAct(fields.Has(backend.FieldFP64Active), st.ActiveFP64Active),
+				FP32Active:     c.noisyAct(fields.Has(backend.FieldFP32Active), st.ActiveFP32Active),
+				SMAppClockMHz:  c.scaled(fields.Has(backend.FieldSMAppClock), exec.FreqMHz, clockNoise),
+				DRAMActive:     c.noisyAct(fields.Has(backend.FieldDRAMActive), st.ActiveDRAMActive),
+				GrEngineActive: c.noisyAct(fields.Has(backend.FieldGrEngineActive), 1),
+				GPUUtilization: c.noisyAct(fields.Has(backend.FieldGPUUtilization), 1),
+				PowerUsage:     c.scaled(fields.Has(backend.FieldPowerUsage), st.ActivePowerWatts*powerScale, powerNoise),
+				SMActive:       c.noisyAct(fields.Has(backend.FieldSMActive), st.ActiveSMActive),
+				SMOccupancy:    c.noisyAct(fields.Has(backend.FieldSMOccupancy), st.ActiveSMOcc),
+				PCIeTxMBps:     c.scaled(fields.Has(backend.FieldPCIeTxBytes), k.PCIeTxMBps, activityNoise),
+				PCIeRxMBps:     c.scaled(fields.Has(backend.FieldPCIeRxBytes), k.PCIeRxMBps, activityNoise),
 				MemClockMHz:    memMHz,
 			}
 		} else {
 			s = backend.Sample{
 				TimeSec:        t,
-				FP64Active:     c.idleAct(),
-				FP32Active:     c.idleAct(),
-				SMAppClockMHz:  exec.FreqMHz * c.factor(clockNoise),
-				DRAMActive:     c.idleAct(),
-				GrEngineActive: c.idleAct(),
-				GPUUtilization: c.idleAct(),
-				PowerUsage:     st.IdlePowerWatts * powerScale * c.factor(powerNoise),
-				SMActive:       c.idleAct(),
-				SMOccupancy:    c.idleAct(),
-				PCIeTxMBps:     k.PCIeTxMBps * c.factor(activityNoise),
-				PCIeRxMBps:     k.PCIeRxMBps * c.factor(activityNoise),
+				FP64Active:     c.idleAct(fields.Has(backend.FieldFP64Active)),
+				FP32Active:     c.idleAct(fields.Has(backend.FieldFP32Active)),
+				SMAppClockMHz:  c.scaled(fields.Has(backend.FieldSMAppClock), exec.FreqMHz, clockNoise),
+				DRAMActive:     c.idleAct(fields.Has(backend.FieldDRAMActive)),
+				GrEngineActive: c.idleAct(fields.Has(backend.FieldGrEngineActive)),
+				GPUUtilization: c.idleAct(fields.Has(backend.FieldGPUUtilization)),
+				PowerUsage:     c.scaled(fields.Has(backend.FieldPowerUsage), st.IdlePowerWatts*powerScale, powerNoise),
+				SMActive:       c.idleAct(fields.Has(backend.FieldSMActive)),
+				SMOccupancy:    c.idleAct(fields.Has(backend.FieldSMOccupancy)),
+				PCIeTxMBps:     c.scaled(fields.Has(backend.FieldPCIeTxBytes), k.PCIeTxMBps, activityNoise),
+				PCIeRxMBps:     c.scaled(fields.Has(backend.FieldPCIeRxBytes), k.PCIeRxMBps, activityNoise),
 				MemClockMHz:    memMHz,
 			}
 		}
@@ -160,16 +166,29 @@ func (c *sampler) ProfileStream(w backend.Workload, runIndex int, yield func(bac
 	return run, nil
 }
 
-func (c *sampler) idleAct() float64 {
-	return idleActivityFloor * math.Abs(c.rng.NormFloat64())
+// idleAct draws one deviate and, when want is set, returns the near-idle
+// activity it implies; otherwise 0.
+func (c *sampler) idleAct(want bool) float64 {
+	z := c.rng.NormFloat64()
+	if !want {
+		return 0
+	}
+	return idleActivityFloor * math.Abs(z)
 }
 
-func (c *sampler) factor(sigma float64) float64 {
-	return math.Exp(c.rng.NormFloat64()*sigma - sigma*sigma/2)
+// scaled draws one deviate and, when want is set, returns v under
+// mean-preserving lognormal noise of the given sigma; otherwise 0.
+func (c *sampler) scaled(want bool, v, sigma float64) float64 {
+	z := c.rng.NormFloat64()
+	if !want {
+		return 0
+	}
+	return v * math.Exp(z*sigma-sigma*sigma/2)
 }
 
-func (c *sampler) noisyAct(v float64) float64 {
-	out := v * c.factor(activityNoise)
+// noisyAct is scaled at the activity sigma, clamped to [0, 1].
+func (c *sampler) noisyAct(want bool, v float64) float64 {
+	out := c.scaled(want, v, activityNoise)
 	if out < 0 {
 		return 0
 	}

@@ -30,6 +30,56 @@ type Sample struct {
 // aggregate feature the paper calls fp_active.
 func (s Sample) FPActive() float64 { return s.FP64Active + s.FP32Active }
 
+// FieldSet selects which of a Sample's 11 metric fields a streaming
+// session synthesizes, the way a DCGM field group scopes a watch: fields
+// outside the set read as zero. TimeSec and MemClockMHz are interval
+// metadata, not metric fields, and are always set. Consumers name fields
+// by their DCGM identifiers (dcgm.FieldID); this bitmask is the form the
+// samplers take.
+type FieldSet uint16
+
+// One bit per metric field.
+const (
+	FieldFP64Active FieldSet = 1 << iota
+	FieldFP32Active
+	FieldSMAppClock
+	FieldDRAMActive
+	FieldGrEngineActive
+	FieldGPUUtilization
+	FieldPowerUsage
+	FieldSMActive
+	FieldSMOccupancy
+	FieldPCIeTxBytes
+	FieldPCIeRxBytes
+
+	// AllFields is every metric field: the batch Profile view.
+	AllFields FieldSet = 1<<iota - 1
+)
+
+// Has reports whether every field in f is in the set.
+func (fs FieldSet) Has(f FieldSet) bool { return fs&f == f }
+
+// Mask returns s with every metric field outside the set zeroed.
+func (fs FieldSet) Mask(s Sample) Sample {
+	zero := func(f FieldSet, v *float64) {
+		if !fs.Has(f) {
+			*v = 0
+		}
+	}
+	zero(FieldFP64Active, &s.FP64Active)
+	zero(FieldFP32Active, &s.FP32Active)
+	zero(FieldSMAppClock, &s.SMAppClockMHz)
+	zero(FieldDRAMActive, &s.DRAMActive)
+	zero(FieldGrEngineActive, &s.GrEngineActive)
+	zero(FieldGPUUtilization, &s.GPUUtilization)
+	zero(FieldPowerUsage, &s.PowerUsage)
+	zero(FieldSMActive, &s.SMActive)
+	zero(FieldSMOccupancy, &s.SMOccupancy)
+	zero(FieldPCIeTxBytes, &s.PCIeTxMBps)
+	zero(FieldPCIeRxBytes, &s.PCIeRxMBps)
+	return s
+}
+
 // Run is one profiled execution: identity, run-level outcomes, and the
 // sampled telemetry.
 type Run struct {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -161,6 +162,41 @@ func TestGridSweeperMatchesOracle2D(t *testing.T) {
 		if !gridProfilesIdentical(got2, want) {
 			t.Fatalf("%s: second pooled call diverges", w.Name)
 		}
+	}
+}
+
+// TestSweep2DZeroAllocsMultiProc pins the 61×3 (core × mem) sweep at 0
+// allocations per call with at least two Ps. testing.AllocsPerRun cannot
+// measure this: it drops GOMAXPROCS to 1 while counting, which hides any
+// per-call goroutine fan-out in the inference kernels. This is the same
+// integer mean AllocsPerRun reports, counted at the test's own GOMAXPROCS.
+func TestSweep2DZeroAllocsMultiProc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates on sync.Pool paths")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	arch := sim.GA100().Spec()
+	sw, err := gridModels(t).NewGridSweeper(arch, arch.DesignClocks(), arch.MemClocks())
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := benchProfileRun(t)
+	dst := make([]objective.Profile, sw.GridSize())
+	sweep := func() {
+		if _, err := sw.PredictProfileInto(dst, run); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sweep() // warm the workspace pools
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		sweep()
+	}
+	runtime.ReadMemStats(&after)
+	if n := (after.Mallocs - before.Mallocs) / runs; n != 0 {
+		t.Fatalf("61×3 sweep allocates %d times per call at GOMAXPROCS=%d", n, runtime.GOMAXPROCS(0))
 	}
 }
 

@@ -37,7 +37,7 @@ func benchModels(b *testing.B) *Models {
 	}
 }
 
-func benchProfileRun(b *testing.B) dcgm.Run {
+func benchProfileRun(b testing.TB) dcgm.Run {
 	b.Helper()
 	coll := dcgm.NewCollector(sim.New(sim.GA100(), 3), dcgm.Config{Seed: 9})
 	run, err := coll.ProfileAtMax(workloads.DGEMM())

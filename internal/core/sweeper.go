@@ -325,28 +325,41 @@ func (s *Sweeper) matches(target backend.Arch, freqs, memFreqs []float64) bool {
 	return true
 }
 
+// ErrInvalidRun marks a profiling run the online phase cannot predict
+// from: no samples, the wrong clocks, or non-finite telemetry. The fault
+// is in the run, not the models, so servers answer it as a bad input.
+// Errors carrying it keep their own messages; match with errors.Is.
+var ErrInvalidRun = errors.New("core: invalid profiling run")
+
+// invalidRun tags err with ErrInvalidRun without changing its message.
+type invalidRun struct{ err error }
+
+func (e invalidRun) Error() string   { return e.err.Error() }
+func (e invalidRun) Unwrap() []error { return []error{ErrInvalidRun, e.err} }
+
 // validateRun applies the online phase's profiling-run preconditions, with
 // the same error messages PredictProfile always produced, and returns the
 // run's mean sample. Profiling must happen at the maximum core clock and
 // the default memory P-state — the grid corner every other design point
 // is extrapolated from — and the telemetry a sweep reads must be finite:
 // a NaN or infinite input would otherwise come back as a confident
-// selection (and be memoized under a sentinel plan-cache bucket).
+// selection (and be memoized under a sentinel plan-cache bucket). A run
+// that fails them comes back as ErrInvalidRun.
 func (s *Sweeper) validateRun(maxRun dcgm.Run) (dcgm.Sample, error) {
 	if len(maxRun.Samples) == 0 {
-		return dcgm.Sample{}, errors.New("core: profiling run has no samples")
+		return dcgm.Sample{}, invalidRun{errors.New("core: profiling run has no samples")}
 	}
 	if maxRun.FreqMHz != s.target.MaxFreqMHz {
-		return dcgm.Sample{}, fmt.Errorf("core: profiling run was at %v MHz, want the maximum clock %v MHz", maxRun.FreqMHz, s.target.MaxFreqMHz)
+		return dcgm.Sample{}, invalidRun{fmt.Errorf("core: profiling run was at %v MHz, want the maximum clock %v MHz", maxRun.FreqMHz, s.target.MaxFreqMHz)}
 	}
 	if maxRun.MemFreqMHz != 0 && maxRun.MemFreqMHz != s.defMem {
-		return dcgm.Sample{}, fmt.Errorf("core: profiling run was at memory clock %v MHz, want the default P-state %v MHz", maxRun.MemFreqMHz, s.defMem)
+		return dcgm.Sample{}, invalidRun{fmt.Errorf("core: profiling run was at memory clock %v MHz, want the default P-state %v MHz", maxRun.MemFreqMHz, s.defMem)}
 	}
 	if !finite(maxRun.ExecTimeSec) {
-		return dcgm.Sample{}, fmt.Errorf("core: profiling run has non-finite exec time %v", maxRun.ExecTimeSec)
+		return dcgm.Sample{}, invalidRun{fmt.Errorf("core: profiling run has non-finite exec time %v", maxRun.ExecTimeSec)}
 	}
 	if maxRun.ExecTimeSec <= 0 {
-		return dcgm.Sample{}, fmt.Errorf("core: profiling run has non-positive exec time %v", maxRun.ExecTimeSec)
+		return dcgm.Sample{}, invalidRun{fmt.Errorf("core: profiling run has non-positive exec time %v", maxRun.ExecTimeSec)}
 	}
 	mean := maxRun.MeanSample()
 	for _, name := range s.models.Features {
@@ -358,7 +371,7 @@ func (s *Sweeper) validateRun(maxRun dcgm.Run) (dcgm.Sample, error) {
 			return dcgm.Sample{}, err
 		}
 		if !finite(v) {
-			return dcgm.Sample{}, fmt.Errorf("core: profiling run has non-finite feature %s = %v", name, v)
+			return dcgm.Sample{}, invalidRun{fmt.Errorf("core: profiling run has non-finite feature %s = %v", name, v)}
 		}
 	}
 	return mean, nil

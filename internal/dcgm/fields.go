@@ -3,6 +3,8 @@ package dcgm
 import (
 	"fmt"
 	"sort"
+
+	"gpudvfs/internal/backend"
 )
 
 // FieldID identifies one telemetry metric, using the real NVIDIA DCGM
@@ -26,25 +28,46 @@ const (
 	FieldFP32Active     FieldID = 1007 // DCGM_FI_PROF_PIPE_FP32_ACTIVE
 )
 
-var fieldNames = map[FieldID]string{
-	FieldSMAppClock:     "sm_app_clock",
-	FieldPowerUsage:     "power_usage",
-	FieldGPUUtilization: "gpu_utilization",
-	FieldPCIeTxBytes:    "pcie_tx_bytes",
-	FieldPCIeRxBytes:    "pcie_rx_bytes",
-	FieldGrEngineActive: "gr_engine_active",
-	FieldSMActive:       "sm_active",
-	FieldSMOccupancy:    "sm_occupancy",
-	FieldDRAMActive:     "dram_active",
-	FieldFP64Active:     "fp64_active",
-	FieldFP32Active:     "fp32_active",
+// fieldTable names each field and gives its bit in the samplers' field set.
+var fieldTable = map[FieldID]struct {
+	name string
+	bit  backend.FieldSet
+}{
+	FieldSMAppClock:     {"sm_app_clock", backend.FieldSMAppClock},
+	FieldPowerUsage:     {"power_usage", backend.FieldPowerUsage},
+	FieldGPUUtilization: {"gpu_utilization", backend.FieldGPUUtilization},
+	FieldPCIeTxBytes:    {"pcie_tx_bytes", backend.FieldPCIeTxBytes},
+	FieldPCIeRxBytes:    {"pcie_rx_bytes", backend.FieldPCIeRxBytes},
+	FieldGrEngineActive: {"gr_engine_active", backend.FieldGrEngineActive},
+	FieldSMActive:       {"sm_active", backend.FieldSMActive},
+	FieldSMOccupancy:    {"sm_occupancy", backend.FieldSMOccupancy},
+	FieldDRAMActive:     {"dram_active", backend.FieldDRAMActive},
+	FieldFP64Active:     {"fp64_active", backend.FieldFP64Active},
+	FieldFP32Active:     {"fp32_active", backend.FieldFP32Active},
+}
+
+// fieldSet builds the samplers' field set from DCGM field IDs, the way a
+// DCGM field group is built; no IDs means every field.
+func fieldSet(ids []FieldID) (backend.FieldSet, error) {
+	if len(ids) == 0 {
+		return backend.AllFields, nil
+	}
+	var fs backend.FieldSet
+	for _, id := range ids {
+		f, ok := fieldTable[id]
+		if !ok {
+			return 0, fmt.Errorf("dcgm: unknown field %d", int(id))
+		}
+		fs |= f.bit
+	}
+	return fs, nil
 }
 
 // String returns the metric's snake_case name as used in the CSV header
 // and the paper's §4.1 list.
 func (f FieldID) String() string {
-	if n, ok := fieldNames[f]; ok {
-		return n
+	if info, ok := fieldTable[f]; ok {
+		return info.name
 	}
 	return fmt.Sprintf("field(%d)", int(f))
 }
@@ -53,8 +76,8 @@ func (f FieldID) String() string {
 // twelfth §4.1 metric, exec_time, is a run-level value, not a sampled
 // field.)
 func AllFields() []FieldID {
-	out := make([]FieldID, 0, len(fieldNames))
-	for f := range fieldNames {
+	out := make([]FieldID, 0, len(fieldTable))
+	for f := range fieldTable {
 		out = append(out, f)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })

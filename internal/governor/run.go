@@ -69,15 +69,27 @@ func (g *Governor) Run(ctx context.Context, stream WorkloadStream) (RunReport, e
 	}
 }
 
-// streamState lazily builds the loop's persistent telemetry session: a
-// dcgm.Stream whose sampler (and noise stream) survives across runs, the
-// online detector, and the yield closure binding both — constructed once
-// so the steady-state loop closes over nothing per run.
+// governedFields is everything the governed loop reads from a streamed
+// sample: onSample's fp_active (the FP64 plus FP32 pipes) and dram_active,
+// the same pair the detector's PushSample reads. The stream synthesizes
+// nothing else; the clock feature comes from the design grid.
+var governedFields = [...]dcgm.FieldID{dcgm.FieldFP64Active, dcgm.FieldFP32Active, dcgm.FieldDRAMActive}
+
+// streamState lazily builds the loop's persistent telemetry session over
+// governedFields.
 func (g *Governor) streamState() (*dcgm.Stream, error) {
 	if g.strm != nil {
 		return g.strm, nil
 	}
-	strm, err := dcgm.NewCollector(g.dev, dcgm.Config{Seed: g.cfg.ProfileSeed + 1000}).Stream()
+	return g.openStream(governedFields[:]...)
+}
+
+// openStream builds the loop's persistent telemetry session: a
+// dcgm.Stream over fields whose sampler (and noise stream) survives
+// across runs, the online detector, and the yield closure binding both —
+// constructed once so the steady-state loop closes over nothing per run.
+func (g *Governor) openStream(fields ...dcgm.FieldID) (*dcgm.Stream, error) {
+	strm, err := dcgm.NewCollector(g.dev, dcgm.Config{Seed: g.cfg.ProfileSeed + 1000}).Stream(fields...)
 	if err != nil {
 		return nil, err
 	}

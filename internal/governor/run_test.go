@@ -287,3 +287,69 @@ func TestDriftedFeaturesBoundary(t *testing.T) {
 		t.Fatal("near-idle wobble flagged as drift")
 	}
 }
+
+// TestScopedStreamMatchesFullStream pins the governed stream's field
+// scoping: a governor whose session synthesizes only governedFields ends
+// every configuration with the same report, stats and selection as one
+// whose session synthesizes all 11 fields, because the loop reads nothing
+// else and scoping never moves the noise schedule.
+func TestScopedStreamMatchesFullStream(t *testing.T) {
+	m := quickModels(t)
+	phases := []sim.KernelProfile{workloads.DGEMM(), workloads.STREAM(), workloads.LAMMPS()}
+	withCfg := func(edit func(*Config)) Config {
+		cfg := DefaultConfig()
+		cfg.ProfileSeed = 61
+		edit(&cfg)
+		return cfg
+	}
+	cases := []struct {
+		name   string
+		period int
+		cfg    Config
+	}{
+		{"default", 4, withCfg(func(*Config) {})},
+		{"period50", 50, withCfg(func(*Config) {})},
+		{"memo8-period4", 4, withCfg(func(c *Config) { c.PhaseCacheSize = 8 })},
+		{"memo8-period50", 50, withCfg(func(c *Config) { c.PhaseCacheSize = 8 })},
+		{"phased", 4, withCfg(func(c *Config) { c.PhasedTuning = true })},
+		{"fused-adaptive", 4, withCfg(func(c *Config) { c.FuseStatic, c.FuseAdaptive = 0.4, true })},
+		{"mem-grid", 4, withCfg(func(c *Config) { c.MemFreqs = sim.GA100().MemClocks() })},
+		{"cooldown-stale", 4, withCfg(func(c *Config) {
+			c.PhaseCacheSize, c.PhaseStaleAfter, c.RetuneCooldown = 2, 6, 3
+		})},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(full bool) (RunReport, *Governor) {
+				g, err := New(sim.New(sim.GA100(), 62), m, tc.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if full {
+					if _, err := g.openStream(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				rep, err := g.Run(context.Background(), workloads.PhaseCycle(phases, tc.period, 3*len(phases)*tc.period))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rep, g
+			}
+			fullRep, full := run(true)
+			scopedRep, scoped := run(false)
+			if scopedRep != fullRep {
+				t.Fatalf("report: scoped %+v, full %+v", scopedRep, fullRep)
+			}
+			if scoped.Stats() != full.Stats() {
+				t.Fatalf("stats: scoped %+v, full %+v", scoped.Stats(), full.Stats())
+			}
+			if scoped.Selection() != full.Selection() {
+				t.Fatalf("selection: scoped %+v, full %+v", scoped.Selection(), full.Selection())
+			}
+			if fullRep.Retunes == 0 {
+				t.Fatalf("stream never retuned, so the streamed telemetry decided nothing: %+v", fullRep)
+			}
+		})
+	}
+}

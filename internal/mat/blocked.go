@@ -36,17 +36,9 @@ func MulTBBlockedInto(dst, a, b *Matrix) *Matrix {
 	if dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic(fmt.Sprintf("mat: MulTBBlockedInto dst %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Rows))
 	}
-	mulTBBlockedRows(dst, a, b, 0, a.Rows)
-	return dst
-}
-
-// mulTBBlockedRows computes output rows [lo, hi) of a·bᵀ with the
-// register-tiled kernel. It is the per-chunk worker MulTBParallelInto
-// fans out to, and the whole-range body of MulTBBlockedInto.
-func mulTBBlockedRows(dst, a, b *Matrix, lo, hi int) {
 	n := b.Rows
 	kN := b.Cols
-	for i := lo; i < hi; i++ {
+	for i := 0; i < a.Rows; i++ {
 		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
 		orow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
 		j := 0
@@ -84,4 +76,5 @@ func mulTBBlockedRows(dst, a, b *Matrix, lo, hi int) {
 			orow[j] = s
 		}
 	}
+	return dst
 }

@@ -102,23 +102,6 @@ func TestMulTBBlockedOverwrites(t *testing.T) {
 	}
 }
 
-// TestMulTBParallelUsesBlockedKernel re-pins MulTBParallelInto's
-// bit-identity now that its fallbacks and row chunks run the blocked
-// kernel.
-func TestMulTBParallelUsesBlockedKernel(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	for _, s := range [][3]int{{61, 64, 64}, {183, 64, 64}, {128, 32, 64}, {3, 5, 7}} {
-		n, k, m := s[0], s[1], s[2]
-		a := randMatrix(n, k, rng)
-		b := randMatrix(m, k, rng)
-		want := MulTBInto(New(n, m), a, b)
-		for _, workers := range []int{0, 1, 2, 4} {
-			got := MulTBParallelInto(New(n, m), a, b, workers)
-			assertBitsEqual(t, "MulTBParallelInto", want, got)
-		}
-	}
-}
-
 // FuzzMulTBBlockedMatchesNaive fuzzes shapes and raw element bits —
 // arbitrary bit patterns decode to NaNs, infinities, denormals and signed
 // zeros — demanding the blocked kernel match the naive reference bit for

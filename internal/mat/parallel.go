@@ -50,72 +50,6 @@ func MulParallel(a, b *Matrix, workers int) *Matrix {
 	return out
 }
 
-// MulTBParallelInto stores a·bᵀ into dst like MulTBInto, computing disjoint
-// row blocks of the output on separate goroutines through the register-tiled
-// kernel. Results are bit-identical to MulTBInto (each output row is produced
-// by exactly one goroutine with the same per-element summation order — see
-// MulTBBlockedInto), which is itself bit-identical to Mul(a, b.T()) — so
-// callers may switch between the serial, blocked, parallel, and
-// transpose-materializing formulations without perturbing a single bit.
-// workers ≤ 0 selects GOMAXPROCS. Small outputs fall back to the serial
-// blocked kernel.
-func MulTBParallelInto(dst, a, b *Matrix, workers int) *Matrix {
-	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
-		// Delegate dimension panics to the reference kernel for consistency.
-		return MulTBInto(dst, a, b)
-	}
-	if a.Rows*b.Rows < parallelThreshold {
-		return MulTBBlockedInto(dst, a, b)
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > a.Rows {
-		workers = a.Rows
-	}
-	if workers <= 1 {
-		return MulTBBlockedInto(dst, a, b)
-	}
-	var wg sync.WaitGroup
-	chunk := (a.Rows + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > a.Rows {
-			hi = a.Rows
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			mulTBBlockedRows(dst, a, b, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-	return dst
-}
-
-// mulTBRows computes output rows [lo, hi) with the same kernel MulTBInto uses.
-func mulTBRows(dst, a, b *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		orow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-		for j := range orow {
-			orow[j] = 0
-		}
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			for j := 0; j < b.Rows; j++ {
-				orow[j] += av * b.Data[j*b.Cols+k]
-			}
-		}
-	}
-}
-
 // mulRows computes output rows [lo, hi) with the same ikj kernel Mul uses.
 func mulRows(out, a, b *Matrix, lo, hi int) {
 	for i := lo; i < hi; i++ {

@@ -14,10 +14,12 @@ import (
 // workspace).
 //
 // Every path through the Predictor is bit-identical to Network.Predict's
-// original allocate-per-call formulation: the forward pass reuses the same
-// fused MulTB kernels (serial below inferParallelElems, row-parallel above,
-// both proven bit-identical to Mul against a materialized transpose), the
-// same bias addition, and the same activation application order.
+// original allocate-per-call formulation: the forward pass runs the
+// register-tiled MulTB kernel (proven bit-identical to Mul against a
+// materialized transpose) on the caller's goroutine, then the same bias
+// addition and the same activation application order. The sweep batches
+// it serves (61 or 183 rows) are too small for a row fan-out to pay for
+// its goroutines and their allocations.
 //
 // A Predictor reads the network's weights live — it holds no weight
 // snapshot — so it must not be used concurrently with training, the same
@@ -63,11 +65,7 @@ func (p *Predictor) forward(ws *predictWS, x *mat.Matrix) *mat.Matrix {
 	a := x
 	for i, l := range p.net.Layers {
 		z := reshape(&ws.acts[i], a.Rows, l.Out)
-		if a.Rows*l.Out >= inferParallelElems {
-			mat.MulTBParallelInto(z, a, l.W, 0)
-		} else {
-			mat.MulTBBlockedInto(z, a, l.W)
-		}
+		mat.MulTBBlockedInto(z, a, l.W)
 		z.AddRowVec(l.B)
 		z.Apply(l.Act.Func)
 		a = z

@@ -80,9 +80,9 @@ func TestPredictorBitIdenticalToOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := net.Predictor()
-		// 61 is the paper's sweep; 200 rows × 64-wide hidden crosses
-		// inferParallelElems, exercising the parallel kernel.
-		for _, batch := range []int{1, 7, 61, 200} {
+		// 61 is the paper's sweep, 183 the 61×3 (core × mem) grid; 200
+		// rows is a batch past both.
+		for _, batch := range []int{1, 7, 61, 183, 200} {
 			rows := randRows(rng, batch, arch.Inputs)
 			want, err := predictOracle(net, rows)
 			if err != nil {

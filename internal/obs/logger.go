@@ -58,6 +58,11 @@ func (l *Logger) Stats() (offered, emitted uint64) {
 	return l.n.Load(), l.emitted.Load()
 }
 
+// CacheHitHeader carries a replica's plan-cache outcome ("true" or
+// "false") on its /v1/select responses, so a proxy in front of it logs the
+// same hit field the replica does.
+const CacheHitHeader = "X-Plan-Cache-Hit"
+
 // Request logs one served request, subject to sampling. workload may be
 // empty (rendered as ""); dur is the handler's wall time.
 func (l *Logger) Request(method, path, workload string, status int, dur time.Duration, hit bool) {

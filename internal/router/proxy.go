@@ -348,7 +348,8 @@ func (p *Proxy) proxy(w http.ResponseWriter, r *http.Request, hist *obs.Histogra
 		w.WriteHeader(resp.StatusCode)
 		io.Copy(w, resp.Body) //nolint:errcheck // nothing to do about a dead client
 		resp.Body.Close()
-		p.observe(hist, r, bytesToLogString(p.logger, key), resp.StatusCode, false, t0)
+		hit := resp.Header.Get(obs.CacheHitHeader) == "true"
+		p.observe(hist, r, bytesToLogString(p.logger, key), resp.StatusCode, hit, t0)
 		return
 	}
 	p.noReplica.Inc()

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"gpudvfs/internal/backend"
+	"gpudvfs/internal/core"
 	"gpudvfs/internal/dcgm"
 	"gpudvfs/internal/obs"
 	"gpudvfs/internal/workloads"
@@ -264,7 +265,9 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 // writeErr maps serving errors to status codes: shedding is 429 (the
-// load-generator acceptance contract), closed is 503, everything else 500.
+// load-generator acceptance contract), closed is 503, a profiling run the
+// sweep rejects (core.ErrInvalidRun, e.g. a NaN sample in a replayed
+// trace) is 422, everything else 500. Both failures count as failed.
 func (a *httpAPI) writeErr(w http.ResponseWriter, code int, err error) {
 	switch {
 	case errors.Is(err, ErrOverloaded):
@@ -275,6 +278,9 @@ func (a *httpAPI) writeErr(w http.ResponseWriter, code int, err error) {
 		code = http.StatusServiceUnavailable
 	default:
 		a.failed.Add(1)
+		if errors.Is(err, core.ErrInvalidRun) {
+			code = http.StatusUnprocessableEntity
+		}
 	}
 	writeJSON(w, code, apiError{Error: err.Error()})
 }
@@ -347,6 +353,7 @@ func (a *httpAPI) handleSelect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	annotate(w, name, hit)
+	w.Header().Set(obs.CacheHitHeader, strconv.FormatBool(hit))
 	a.selects.Add(1)
 	writeJSON(w, http.StatusOK, selectResponse{
 		Workload:   name,

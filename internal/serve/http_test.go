@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,10 +12,13 @@ import (
 	"testing"
 	"time"
 
+	"gpudvfs/internal/backend/replay"
 	sim "gpudvfs/internal/backend/sim"
 	"gpudvfs/internal/core"
+	"gpudvfs/internal/dcgm"
 	"gpudvfs/internal/objective"
 	"gpudvfs/internal/obs"
+	"gpudvfs/internal/workloads"
 )
 
 func testHandler(t *testing.T, queue int) (http.Handler, *Server) {
@@ -124,6 +128,55 @@ func TestHTTPSelectAndStats(t *testing.T) {
 	}
 	if st.Cache.Shards == 0 {
 		t.Fatalf("stats missing config echoes: %+v", st)
+	}
+}
+
+// TestHTTPInvalidRunIs422 serves a recorded trace holding a NaN sample —
+// trace files may carry "NaN", which the CSV reader accepts — through the
+// replay backend: the sweep rejects the profiling run, so both endpoints
+// answer 422 naming the offending feature, count the failure, and leave
+// the plan cache empty.
+func TestHTTPInvalidRunIs422(t *testing.T) {
+	arch := sim.GA100().Spec()
+	runs, err := dcgm.NewCollector(sim.New(sim.GA100(), 5), dcgm.Config{Freqs: []float64{arch.MaxFreqMHz}, Runs: 1, Seed: 6}).
+		CollectWorkload(workloads.DGEMM())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs[0].Samples[1].FP32Active = math.NaN()
+	dev, err := replay.New(runs, replay.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newTestServer(t, testSweeper(t), 0)
+	h, err := NewHandler(srv, HTTPConfig{Device: dev})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+
+	for i, path := range []string{"/v1/select", "/v1/profile"} {
+		resp, body := postJSON(t, ts, path, `{"workload": "DGEMM"}`)
+		if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(body), "non-finite feature fp_active") {
+			t.Fatalf("%s: status %d, body %s; want 422 naming fp_active", path, resp.StatusCode, body)
+		}
+		if st := srv.Stats(); st.CacheLen != 0 {
+			t.Fatalf("%s: rejected run entered the plan cache (%d entries)", path, st.CacheLen)
+		}
+		var st statsResponse
+		statsResp, err := http.Get(ts.URL + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(statsResp.Body).Decode(&st)
+		statsResp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.HTTP.Failed != uint64(i+1) {
+			t.Fatalf("%s: failed = %d, want %d", path, st.HTTP.Failed, i+1)
+		}
 	}
 }
 

@@ -241,8 +241,8 @@ func TestServerAdmission(t *testing.T) {
 }
 
 // TestNonFiniteTelemetryRejected: a profiling run with a NaN or infinite
-// exec time or feature is refused with a specific error by both the
-// cached and the uncached path, and never enters the plan cache.
+// exec time or feature is refused with a specific ErrInvalidRun by both
+// the cached and the uncached path, and never enters the plan cache.
 func TestNonFiniteTelemetryRejected(t *testing.T) {
 	srv := newTestServer(t, testSweeper(t), 0)
 	if _, _, err := srv.Select(context.Background(), syntheticRun(0.4, 0.3)); err != nil {
@@ -265,11 +265,11 @@ func TestNonFiniteTelemetryRejected(t *testing.T) {
 			run := syntheticRun(0.4, 0.3)
 			tc.edit(&run)
 			before := srv.Cache().Len()
-			if _, _, err := srv.Cache().Select(run); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("PlanCache.Select: got %v, want an error containing %q", err, tc.want)
+			if _, _, err := srv.Cache().Select(run); !errors.Is(err, core.ErrInvalidRun) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("PlanCache.Select: got %v, want an ErrInvalidRun containing %q", err, tc.want)
 			}
-			if _, _, err := srv.Predict(context.Background(), run); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("Server.Predict: got %v, want an error containing %q", err, tc.want)
+			if _, _, err := srv.Predict(context.Background(), run); !errors.Is(err, core.ErrInvalidRun) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Server.Predict: got %v, want an ErrInvalidRun containing %q", err, tc.want)
 			}
 			if after := srv.Cache().Len(); after != before {
 				t.Fatalf("plan cache grew from %d to %d entries", before, after)
