@@ -3,7 +3,7 @@ GO ?= go
 # Packages with dedicated concurrent paths: they get a -race pass in check.
 RACE_PKGS = ./internal/mat ./internal/nn ./internal/dcgm ./internal/mi ./internal/neighbors ./internal/stats ./internal/sched ./internal/backend/... ./internal/governor ./internal/trace ./internal/serve ./internal/fleet ./internal/router ./internal/obs
 
-.PHONY: all build test race bench-smoke bench-router bench-governor bench-phasecache fuzz-smoke vet fmt-check check
+.PHONY: all build test race bench-smoke bench-router bench-governor bench-phasecache fuzz-smoke vet fmt-check cross check
 
 all: build
 
@@ -15,6 +15,14 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# cross keeps the portable (non-amd64) kernel path compiling and vetted:
+# mat's SSE2 kernel is amd64-only, so every other GOARCH runs the Go tile.
+# Both commands work offline; vet's asmdecl pass checks the amd64 .s frame
+# in the vet target above.
+cross:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/mat ./internal/nn
 
 # fmt-check fails (and names the offenders) if any tracked Go file is not
 # gofmt-clean. Formatting is a gate, not a suggestion.
@@ -38,7 +46,7 @@ race:
 # the core miss and serve runs (the serve run includes the gated
 # ServePredict arm) cover the BENCH_concurrency.json concurrent-serving
 # table; the Sweep1D/Sweep2D arms plus the mat
-# MulTB61x64 blocked/naive split cover the BENCH_sweep2d.json 1-D vs 2-D
+# MulTB61x64 naive/blocked/kernel split cover the BENCH_sweep2d.json 1-D vs 2-D
 # sweep-cost table; the fleet 100k arms cover the BENCH_fleet.json
 # event-engine table (and re-assert its 0-alloc steady-state invariant);
 # the router/obs arms cover the ring-lookup and metrics-render hot paths
@@ -94,4 +102,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzPhaseFingerprint -fuzztime=5s ./internal/governor
 	$(GO) test -run '^$$' -fuzz FuzzStreamFieldsMatchFull -fuzztime=5s ./internal/dcgm
 
-check: fmt-check vet build test race bench-smoke fuzz-smoke
+check: fmt-check vet build cross test race bench-smoke fuzz-smoke

@@ -15,7 +15,8 @@ import (
 // naiveForward runs one inference pass through the network with freshly
 // allocated intermediates at every layer — the cost of serving without the
 // Predictor's pooled workspaces. Accumulation order matches the pooled
-// path (both sit on mat.MulTBInto), so outputs are bit-identical.
+// path (its mat.MulTBBlockedInto is bit-identical to mat.MulTBInto), so
+// outputs are bit-identical.
 func naiveForward(n *nn.Network, x *mat.Matrix) *mat.Matrix {
 	a := x
 	for _, l := range n.Layers {

@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -29,111 +30,181 @@ func assertBitsEqual(t *testing.T, name string, want, got *Matrix) {
 	}
 }
 
-// TestMulTBBlockedMatchesNaive sweeps shapes around the tile edges —
-// every b.Rows residue mod the tile width, plus the layer shapes the
-// predictor actually runs — and demands bit-identity with the naive
-// reference kernel on dirty destinations.
+// kernelRows are the row counts the kernel tests sweep: every count up
+// to 9 (odd counts leave the last row of a pair alone) plus the sweep
+// shapes the predictor runs (61 and 183 rows, both odd) and 64.
+var kernelRows = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 61, 64, 183}
+
+// kernelCols are the column counts (b.Rows) the kernel tests sweep: 1–17
+// reaches every SIMD block edge and every tail length of both the 8-wide
+// SSE2 block and the 4-wide portable tile; 64 is the hidden-layer width.
+var kernelCols = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 64}
+
+// specialValues are the IEEE corners where an accumulation-order change
+// would show: signed zeros (0 + -0 = +0 only if the skip branches agree),
+// infinities (Inf - Inf = NaN depends on which products are formed), NaN
+// propagation, subnormals (products that underflow or stay denormal) and
+// overflow.
+var specialValues = []float64{
+	0, math.Copysign(0, -1), 1, -1, 0.5,
+	math.Inf(1), math.Inf(-1), math.NaN(),
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 2.2250738585072e-309, -1e-310,
+	1e-308, math.MaxFloat64, -math.MaxFloat64,
+}
+
+// mulTBKernels are the kernels every differential test checks against
+// MulTBInto: the dispatching entry point (SSE2 blocks plus the portable
+// tail on amd64) and the portable Go kernel over every column, so the
+// code other architectures run is exercised on amd64 too.
+var mulTBKernels = []struct {
+	name string
+	mul  func(dst, a, b *Matrix) *Matrix
+}{
+	{"MulTBBlockedInto", func(dst, a, b *Matrix) *Matrix {
+		var panels []float64
+		return MulTBBlockedInto(dst, a, b, &panels)
+	}},
+	{"mulTBGo", func(dst, a, b *Matrix) *Matrix {
+		mulTBGo(dst, a, b, 0)
+		return dst
+	}},
+}
+
+// TestMulTBBlockedMatchesNaive sweeps shapes around the block and tile
+// edges and demands bit-identity with the naive reference kernel on dirty
+// destinations.
 func TestMulTBBlockedMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	shapes := [][2]int{}
-	for n := 1; n <= 9; n++ {
-		for m := 1; m <= 9; m++ {
-			shapes = append(shapes, [2]int{n, m})
-		}
-	}
-	// Predictor-relevant shapes: 61/183 sweep rows against 64-wide layers,
-	// and the width-1 output heads.
-	shapes = append(shapes, [2]int{61, 64}, [2]int{183, 64}, [2]int{61, 1}, [2]int{183, 1}, [2]int{64, 64}, [2]int{5, 4}, [2]int{5, 8})
-	for _, s := range shapes {
-		n, m := s[0], s[1]
-		for _, k := range []int{1, 2, 3, 7, 64} {
-			a := randMatrix(n, k, rng)
-			b := randMatrix(m, k, rng)
-			want := MulTBInto(randMatrix(n, m, rng), a, b)
-			got := MulTBBlockedInto(randMatrix(n, m, rng), a, b)
-			assertBitsEqual(t, "MulTBBlockedInto", want, got)
+	for _, kern := range mulTBKernels {
+		for _, n := range kernelRows {
+			for _, m := range kernelCols {
+				for _, k := range []int{1, 2, 3, 7, 64} {
+					a := randMatrix(n, k, rng)
+					b := randMatrix(m, k, rng)
+					want := MulTBInto(randMatrix(n, m, rng), a, b)
+					got := kern.mul(randMatrix(n, m, rng), a, b)
+					assertBitsEqual(t, fmt.Sprintf("%s %dx%d·(%dx%d)ᵀ", kern.name, n, k, m, k), want, got)
+				}
+			}
 		}
 	}
 }
 
-// TestMulTBBlockedSpecialValues exercises the IEEE corners where an
-// accumulation-order change would show: signed zeros (0 + -0 = +0 only if
-// the skip branches agree), infinities (Inf - Inf = NaN depends on which
-// products are formed), and NaN propagation.
+// TestMulTBBlockedSpecialValues draws both operands from the IEEE corner
+// values over every block edge and tail.
 func TestMulTBBlockedSpecialValues(t *testing.T) {
-	specials := []float64{0, math.Copysign(0, -1), 1, -1, math.Inf(1), math.Inf(-1), math.NaN(), 1e-308, math.MaxFloat64}
 	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 200; trial++ {
-		n, m, k := 1+rng.Intn(6), 1+rng.Intn(11), 1+rng.Intn(5)
-		a := New(n, k)
-		b := New(m, k)
-		for i := range a.Data {
-			a.Data[i] = specials[rng.Intn(len(specials))]
+	for _, kern := range mulTBKernels {
+		for trial := 0; trial < 400; trial++ {
+			n := kernelRows[rng.Intn(len(kernelRows))]
+			m := kernelCols[rng.Intn(len(kernelCols))]
+			k := 1 + rng.Intn(6)
+			a := New(n, k)
+			b := New(m, k)
+			for i := range a.Data {
+				a.Data[i] = specialValues[rng.Intn(len(specialValues))]
+			}
+			for i := range b.Data {
+				b.Data[i] = specialValues[rng.Intn(len(specialValues))]
+			}
+			want := MulTBInto(New(n, m), a, b)
+			got := kern.mul(New(n, m), a, b)
+			assertBitsEqual(t, fmt.Sprintf("%s(special) %dx%d·(%dx%d)ᵀ", kern.name, n, k, m, k), want, got)
 		}
-		for i := range b.Data {
-			b.Data[i] = specials[rng.Intn(len(specials))]
-		}
-		want := MulTBInto(New(n, m), a, b)
-		got := MulTBBlockedInto(New(n, m), a, b)
-		assertBitsEqual(t, "MulTBBlockedInto(special)", want, got)
 	}
 }
 
-// TestMulTBBlockedOverwrites pins that the blocked kernel overwrites a
-// dirty destination (including stale -0 entries) exactly like the naive
-// kernel's zero-then-accumulate formulation.
+// TestMulTBBlockedOverwrites pins that the kernel overwrites a dirty
+// destination (including stale -0 entries) exactly like the naive
+// kernel's zero-then-accumulate formulation, in both the SSE2 blocks and
+// the tail.
 func TestMulTBBlockedOverwrites(t *testing.T) {
-	a := New(2, 3) // all zeros: every av==0 skip fires
-	b := New(5, 3)
+	a := New(3, 3) // all zeros: every av==0 skip fires
+	b := New(13, 3)
 	dirty := func() *Matrix {
-		d := New(2, 5)
+		d := New(3, 13)
 		for i := range d.Data {
 			d.Data[i] = math.Copysign(0, -1)
 		}
 		return d
 	}
 	want := MulTBInto(dirty(), a, b)
-	got := MulTBBlockedInto(dirty(), a, b)
-	assertBitsEqual(t, "MulTBBlockedInto(zero rows)", want, got)
-	for i, v := range got.Data {
-		if math.Signbit(v) {
-			t.Fatalf("element %d kept stale -0; kernel must overwrite with +0", i)
+	for _, kern := range mulTBKernels {
+		got := kern.mul(dirty(), a, b)
+		assertBitsEqual(t, kern.name+"(zero rows)", want, got)
+		for i, v := range got.Data {
+			if math.Signbit(v) {
+				t.Fatalf("%s: element %d kept stale -0; kernel must overwrite with +0", kern.name, i)
+			}
 		}
 	}
 }
 
-// FuzzMulTBBlockedMatchesNaive fuzzes shapes and raw element bits —
-// arbitrary bit patterns decode to NaNs, infinities, denormals and signed
-// zeros — demanding the blocked kernel match the naive reference bit for
-// bit (NaN payloads excepted, as in assertBitsEqual), including
-// non-multiple-of-tile column counts.
+// TestMulTBBlockedReadsLiveWeights pins that the staged panels never go
+// stale: a second call on the same workspace after b changes must see the
+// new values, and a larger b must grow the workspace.
+func TestMulTBBlockedReadsLiveWeights(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	var panels []float64
+	a := randMatrix(5, 7, rng)
+	for _, m := range []int{16, 16, 24, 8} {
+		b := randMatrix(m, 7, rng)
+		want := MulTBInto(New(5, m), a, b)
+		got := MulTBBlockedInto(New(5, m), a, b, &panels)
+		assertBitsEqual(t, fmt.Sprintf("MulTBBlockedInto m=%d", m), want, got)
+	}
+}
+
+// fuzzElem decodes one operand element: raw bits three times in four
+// (NaNs, infinities, denormals and signed zeros all decode from raw bits,
+// but zeros almost never do), an IEEE corner value otherwise.
+func fuzzElem(rng *rand.Rand) float64 {
+	if rng.Intn(4) == 0 {
+		return specialValues[rng.Intn(len(specialValues))]
+	}
+	return math.Float64frombits(rng.Uint64())
+}
+
+// FuzzMulTBBlockedMatchesNaive fuzzes shapes and element bits in both
+// operands, demanding both kernels match the naive reference bit for bit
+// (NaN payloads excepted, as in assertBitsEqual) at every column count
+// 1–17 and at the predictor's 61/64/183 row counts.
 func FuzzMulTBBlockedMatchesNaive(f *testing.F) {
 	f.Add(uint8(3), uint8(5), uint8(4), int64(1))
 	f.Add(uint8(1), uint8(1), uint8(1), int64(2))
 	f.Add(uint8(7), uint8(9), uint8(3), int64(3))
 	f.Add(uint8(61), uint8(64), uint8(8), int64(4))
+	f.Add(uint8(255), uint8(16), uint8(16), int64(5))
 	f.Fuzz(func(t *testing.T, nRaw, mRaw, kRaw uint8, seed int64) {
 		n := 1 + int(nRaw)%32
-		m := 1 + int(mRaw)%32
+		if nRaw >= 224 {
+			n = []int{61, 64, 183}[int(nRaw)%3]
+		}
+		m := 1 + int(mRaw)%17
+		if mRaw >= 238 {
+			m = 64
+		}
 		k := 1 + int(kRaw)%16
 		rng := rand.New(rand.NewSource(seed))
 		a := New(n, k)
 		b := New(m, k)
 		for i := range a.Data {
-			a.Data[i] = math.Float64frombits(rng.Uint64())
+			a.Data[i] = fuzzElem(rng)
 		}
 		for i := range b.Data {
-			b.Data[i] = math.Float64frombits(rng.Uint64())
+			b.Data[i] = fuzzElem(rng)
 		}
 		want := MulTBInto(New(n, m), a, b)
-		got := MulTBBlockedInto(New(n, m), a, b)
-		for i := range want.Data {
-			if math.IsNaN(want.Data[i]) && math.IsNaN(got.Data[i]) {
-				continue
-			}
-			if math.Float64bits(want.Data[i]) != math.Float64bits(got.Data[i]) {
-				t.Fatalf("shape %dx%d·(%dx%d)ᵀ element %d: blocked %x, naive %x",
-					n, k, m, k, i, math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]))
+		for _, kern := range mulTBKernels {
+			got := kern.mul(New(n, m), a, b)
+			for i := range want.Data {
+				if math.IsNaN(want.Data[i]) && math.IsNaN(got.Data[i]) {
+					continue
+				}
+				if math.Float64bits(want.Data[i]) != math.Float64bits(got.Data[i]) {
+					t.Fatalf("%s shape %dx%d·(%dx%d)ᵀ element %d: got %x, naive %x",
+						kern.name, n, k, m, k, i, math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]))
+				}
 			}
 		}
 	})
@@ -151,8 +222,18 @@ func BenchmarkMulTB61x64(b *testing.B) {
 			mul(dst, a, w)
 		}
 	}
-	b.Run("naive-61", func(b *testing.B) { bench(b, 61, MulTBInto) })
-	b.Run("blocked-61", func(b *testing.B) { bench(b, 61, MulTBBlockedInto) })
-	b.Run("naive-183", func(b *testing.B) { bench(b, 183, MulTBInto) })
-	b.Run("blocked-183", func(b *testing.B) { bench(b, 183, MulTBBlockedInto) })
+	// naive is the MulTBInto oracle, blocked the portable 2×4 Go tile over
+	// every column, kernel the MulTBBlockedInto entry point (SSE2 blocks
+	// with per-call panel staging on amd64).
+	blocked := func(dst, a, bb *Matrix) *Matrix {
+		mulTBGo(dst, a, bb, 0)
+		return dst
+	}
+	var panels []float64
+	kernel := func(dst, a, bb *Matrix) *Matrix { return MulTBBlockedInto(dst, a, bb, &panels) }
+	for _, rows := range []int{61, 183} {
+		b.Run(fmt.Sprintf("naive-%d", rows), func(b *testing.B) { bench(b, rows, MulTBInto) })
+		b.Run(fmt.Sprintf("blocked-%d", rows), func(b *testing.B) { bench(b, rows, blocked) })
+		b.Run(fmt.Sprintf("kernel-%d", rows), func(b *testing.B) { bench(b, rows, kernel) })
+	}
 }

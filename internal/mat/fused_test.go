@@ -27,12 +27,12 @@ func TestFusedKernelsBitIdentical(t *testing.T) {
 	for _, s := range shapes {
 		n, k, m := s[0], s[1], s[2]
 
-		// MulTB: (n×k)·(m×k)ᵀ vs Mul with explicit transpose.
+		// MulTBInto: (n×k)·(m×k)ᵀ vs Mul with explicit transpose.
 		a := randMatrix(n, k, rng)
 		b := randMatrix(m, k, rng)
 		want := Mul(a, b.T())
-		got := MulTB(a, b)
-		assertBitEqual(t, "MulTB", want, got)
+		got := MulTBInto(New(n, m), a, b)
+		assertBitEqual(t, "MulTBInto", want, got)
 
 		// MulTA: (k×n)ᵀ·(k×m).
 		a2 := randMatrix(k, n, rng)
@@ -101,12 +101,12 @@ func TestColSumsInto(t *testing.T) {
 func TestFusedKernelDimensionPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"MulTA":                func() { MulTA(New(3, 2), New(4, 2)) },
-		"MulTB":                func() { MulTB(New(3, 2), New(4, 3)) },
+		"MulTBInto":            func() { MulTBInto(New(3, 4), New(3, 2), New(4, 3)) },
 		"MulInto dst":          func() { MulInto(New(1, 1), New(3, 2), New(2, 3)) },
 		"MulTAInto dst":        func() { MulTAInto(New(1, 1), New(3, 2), New(3, 4)) },
 		"MulTBInto dst":        func() { MulTBInto(New(1, 1), New(3, 2), New(4, 2)) },
-		"MulTBBlockedInto":     func() { MulTBBlockedInto(New(100, 100), New(100, 3), New(100, 4)) },
-		"MulTBBlockedInto dst": func() { MulTBBlockedInto(New(1, 1), New(3, 2), New(4, 2)) },
+		"MulTBBlockedInto":     func() { MulTBBlockedInto(New(100, 100), New(100, 3), New(100, 4), new([]float64)) },
+		"MulTBBlockedInto dst": func() { MulTBBlockedInto(New(1, 1), New(3, 2), New(4, 2), new([]float64)) },
 		"ColSumsInto dims":     func() { New(2, 3).ColSumsInto(make([]float64, 2)) },
 	} {
 		func() {

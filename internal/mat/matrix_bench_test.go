@@ -60,12 +60,3 @@ func BenchmarkSolve64(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkMulParallel256(b *testing.B) {
-	x, y := benchMats(256)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MulParallel(x, y, 0)
-	}
-}

@@ -28,6 +28,10 @@ type Layer struct {
 	dZ *mat.Matrix // n×Out
 	dX *mat.Matrix // n×In, returned to the layer below
 
+	// panels is the forward kernel's k-major copy of W, restaged by every
+	// Forward call.
+	panels []float64
+
 	// Gradients from the last Backward call (reused across batches).
 	gradW *mat.Matrix
 	gradB []float64
@@ -73,32 +77,13 @@ func NewLayer(in, out int, act Activation, rng *rand.Rand) *Layer {
 // owned by the layer: it stays valid until the next Forward call.
 func (l *Layer) Forward(x *mat.Matrix) *mat.Matrix {
 	z := reshape(&l.lastZ, x.Rows, l.Out)
-	mat.MulTBInto(z, x, l.W)
+	mat.MulTBBlockedInto(z, x, l.W, &l.panels)
 	z.AddRowVec(l.B)
 	a := reshape(&l.lastA, x.Rows, l.Out)
 	copy(a.Data, z.Data)
 	a.Apply(l.Act.Func)
 	l.lastX = x
 	return a
-}
-
-// inferParallelElems is the output-element count above which Infer fans
-// the matrix product out over mat.MulParallel; the paper's online batches
-// (61 rows) stay below it and run serially.
-const inferParallelElems = 64 * 64
-
-// Infer computes the layer output without caching training state; safe for
-// concurrent use once training has finished. Large batches route through
-// mat.MulParallel (bit-identical to the serial kernel).
-func (l *Layer) Infer(x *mat.Matrix) *mat.Matrix {
-	var z *mat.Matrix
-	if x.Rows*l.Out >= inferParallelElems {
-		z = mat.MulParallel(x, l.W.T(), 0)
-	} else {
-		z = mat.MulTB(x, l.W)
-	}
-	z.AddRowVec(l.B)
-	return z.Apply(l.Act.Func)
 }
 
 // Backward receives dL/dA for this layer's output and returns dL/dX for the

@@ -86,20 +86,18 @@ func BenchmarkPredictDesignSpace(b *testing.B) {
 	}
 }
 
-// BenchmarkPredictIntoDesignSpace measures the same sweep through the
-// zero-alloc serving path: pooled workspaces, caller-provided output.
-func BenchmarkPredictIntoDesignSpace(b *testing.B) {
+// BenchmarkPredictMatIntoDesignSpace measures the same sweep through the
+// zero-alloc serving path the core Sweeper uses: pooled workspaces, a
+// caller-staged input matrix and a caller-provided output.
+func BenchmarkPredictMatIntoDesignSpace(b *testing.B) {
 	net, _ := NewNetwork(PaperArch(3), 1)
-	_, rows, _ := benchBatch(61, 3)
+	x, _, _ := benchBatch(61, 3)
 	p := net.Predictor()
-	dst := make([][]float64, len(rows))
-	for i := range dst {
-		dst[i] = make([]float64, 1)
-	}
+	dst := mat.New(x.Rows, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := p.PredictInto(dst, rows); err != nil {
+		if err := p.PredictMatInto(dst, x); err != nil {
 			b.Fatal(err)
 		}
 	}

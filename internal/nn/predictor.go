@@ -14,26 +14,30 @@ import (
 // workspace).
 //
 // Every path through the Predictor is bit-identical to Network.Predict's
-// original allocate-per-call formulation: the forward pass runs the
-// register-tiled MulTB kernel (proven bit-identical to Mul against a
-// materialized transpose) on the caller's goroutine, then the same bias
-// addition and the same activation application order. The sweep batches
-// it serves (61 or 183 rows) are too small for a row fan-out to pay for
-// its goroutines and their allocations.
+// original allocate-per-call formulation: the forward pass runs
+// mat.MulTBBlockedInto (proven bit-identical to MulTBInto, and so to Mul
+// against a materialized transpose) on the caller's goroutine, then one
+// epilogue pass that adds the bias and applies the activation with the
+// same operations in the same order. The sweep batches it serves (61 or
+// 183 rows) are too small for a row fan-out to pay for its goroutines and
+// their allocations.
 //
 // A Predictor reads the network's weights live — it holds no weight
-// snapshot — so it must not be used concurrently with training, the same
-// contract Network.Predict always had.
+// snapshot; the kernel's k-major weight copy is restaged on every call —
+// so it must not be used concurrently with training, the same contract
+// Network.Predict always had.
 type Predictor struct {
 	net  *Network
 	pool sync.Pool // *predictWS
 }
 
-// predictWS is one in-flight call's workspace: the staged input batch and
-// one output buffer per layer, all grow-only.
+// predictWS is one in-flight call's workspace: the staged input batch,
+// one output buffer per layer and the kernel's weight panels (restaged by
+// every layer), all grow-only.
 type predictWS struct {
-	x    *mat.Matrix
-	acts []*mat.Matrix
+	x      *mat.Matrix
+	acts   []*mat.Matrix
+	panels []float64
 }
 
 // NewPredictor returns a pooled-inference engine over net.
@@ -65,9 +69,8 @@ func (p *Predictor) forward(ws *predictWS, x *mat.Matrix) *mat.Matrix {
 	a := x
 	for i, l := range p.net.Layers {
 		z := reshape(&ws.acts[i], a.Rows, l.Out)
-		mat.MulTBBlockedInto(z, a, l.W)
-		z.AddRowVec(l.B)
-		z.Apply(l.Act.Func)
+		mat.MulTBBlockedInto(z, a, l.W, &ws.panels)
+		biasAct(z, l.B, l.Act)
 		a = z
 	}
 	return a
@@ -111,33 +114,6 @@ func (p *Predictor) Predict(rows [][]float64) ([][]float64, error) {
 	return out, nil
 }
 
-// PredictInto runs batch inference writing one output row per input row
-// into dst, which must have len(rows) rows of the network's output width.
-// At steady state (pool warm) it performs zero heap allocations. The
-// written values are bit-identical to Predict's.
-func (p *Predictor) PredictInto(dst, rows [][]float64) error {
-	if len(dst) != len(rows) {
-		return fmt.Errorf("nn: PredictInto dst has %d rows, want %d", len(dst), len(rows))
-	}
-	if len(rows) == 0 {
-		return nil
-	}
-	ws := p.pool.Get().(*predictWS)
-	defer p.pool.Put(ws)
-	x, err := p.stage(ws, rows)
-	if err != nil {
-		return err
-	}
-	a := p.forward(ws, x)
-	for i := range dst {
-		if len(dst[i]) != a.Cols {
-			return fmt.Errorf("nn: PredictInto dst row %d has %d cols, want %d", i, len(dst[i]), a.Cols)
-		}
-		copy(dst[i], a.Row(i))
-	}
-	return nil
-}
-
 // PredictMatInto runs batch inference over a caller-staged input matrix,
 // writing into dst (x.Rows × Outputs). Neither matrix is retained; x is
 // never written. This is the zero-copy entry point the core Sweeper uses:
@@ -157,4 +133,26 @@ func (p *Predictor) PredictMatInto(dst, x *mat.Matrix) error {
 	a := p.forward(ws, x)
 	copy(dst.Data, a.Data)
 	return nil
+}
+
+// biasAct sets every element of z to act(z[i][j] + b[j]) in one pass.
+// SELU and linear, the paper's hidden and output activations, are
+// concrete cases the compiler inlines; any other activation keeps the
+// separate AddRowVec and Apply passes. Each element sees the same add and
+// the same activation call either way, so the bits match.
+func biasAct(z *mat.Matrix, b []float64, act Activation) {
+	switch act.(type) {
+	case seluAct:
+		for i := 0; i < z.Rows; i++ {
+			row := z.Row(i)[:len(b)]
+			for j, bj := range b {
+				row[j] = seluAct{}.Func(row[j] + bj)
+			}
+		}
+	case linearAct:
+		z.AddRowVec(b)
+	default:
+		z.AddRowVec(b)
+		z.Apply(act.Func)
+	}
 }

@@ -11,8 +11,10 @@ import (
 )
 
 // predictOracle is the historical Network.Predict formulation: build a
-// fresh matrix, run Layer.Infer per layer (allocating per call), copy rows
-// out. The Predictor must match it bit for bit.
+// fresh matrix, then per layer allocate the output, multiply through the
+// naive MulTBInto kernel, add the bias and apply the activation as
+// separate passes, and copy rows out. The Predictor must match it bit for
+// bit.
 func predictOracle(n *Network, rows [][]float64) ([][]float64, error) {
 	if len(rows) == 0 {
 		return nil, nil
@@ -26,7 +28,9 @@ func predictOracle(n *Network, rows [][]float64) ([][]float64, error) {
 	}
 	a := x
 	for _, l := range n.Layers {
-		a = l.Infer(a)
+		z := mat.MulTBInto(mat.New(a.Rows, l.Out), a, l.W)
+		z.AddRowVec(l.B)
+		a = z.Apply(l.Act.Func)
 	}
 	out := make([][]float64, a.Rows)
 	for i := range out {
@@ -64,15 +68,18 @@ func sameBits(a, b [][]float64) bool {
 }
 
 // TestPredictorBitIdenticalToOracle pins the serving contract: the pooled
-// Predict, PredictInto, and PredictMatInto paths are bit-identical to the
-// historical allocate-per-call Predict — across batch sizes on both sides
-// of the parallel-inference threshold, multi-output networks, and repeated
-// calls on a warm pool.
+// Predict and PredictMatInto paths are bit-identical to the historical
+// allocate-per-call Predict — across batch sizes (odd and even, below and
+// past the sweep shapes), every activation's epilogue (the fused SELU and
+// linear cases and the generic one), multi-output networks whose widths
+// leave SIMD column tails, and repeated calls on a warm pool.
 func TestPredictorBitIdenticalToOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	archs := []Arch{
 		PaperArch(3),
 		{Inputs: 5, Hidden: []int{16, 8}, Outputs: 3, HiddenAct: "relu", OutputAct: "linear"},
+		{Inputs: 4, Hidden: []int{13, 9}, Outputs: 2, HiddenAct: "tanh", OutputAct: "sigmoid"},
+		{Inputs: 4, Hidden: []int{130, 24}, Outputs: 11, HiddenAct: "selu", OutputAct: "selu"},
 	}
 	for _, arch := range archs {
 		net, err := NewNetwork(arch, 99)
@@ -96,18 +103,14 @@ func TestPredictorBitIdenticalToOracle(t *testing.T) {
 				if !sameBits(got, want) {
 					t.Fatalf("arch=%v batch=%d rep=%d: Predict differs from oracle", arch, batch, rep)
 				}
-				dst := randRows(rng, batch, arch.Outputs) // poison, must be overwritten
-				if err := p.PredictInto(dst, rows); err != nil {
-					t.Fatal(err)
-				}
-				if !sameBits(dst, want) {
-					t.Fatalf("arch=%v batch=%d rep=%d: PredictInto differs from oracle", arch, batch, rep)
-				}
 				x, err := mat.NewFromRows(rows)
 				if err != nil {
 					t.Fatal(err)
 				}
-				dm := mat.New(batch, arch.Outputs)
+				dm, err := mat.NewFromRows(randRows(rng, batch, arch.Outputs)) // poison, must be overwritten
+				if err != nil {
+					t.Fatal(err)
+				}
 				if err := p.PredictMatInto(dm, x); err != nil {
 					t.Fatal(err)
 				}
@@ -155,16 +158,22 @@ func TestPredictorConcurrentHammer(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			dst := make([][]float64, 61)
-			for i := range dst {
-				dst[i] = make([]float64, 1)
+			x, err := mat.NewFromRows(inputs[g])
+			if err != nil {
+				errs[g] = err
+				return
 			}
+			dst := mat.New(61, 1)
 			for it := 0; it < iters; it++ {
-				if err := p.PredictInto(dst, inputs[g]); err != nil {
+				if err := p.PredictMatInto(dst, x); err != nil {
 					errs[g] = err
 					return
 				}
-				if !sameBits(dst, wants[g]) {
+				got := make([][]float64, dst.Rows)
+				for i := range got {
+					got[i] = dst.Row(i)
+				}
+				if !sameBits(got, wants[g]) {
 					errs[g] = fmt.Errorf("goroutine %d iter %d: output differs from serial oracle", g, it)
 					return
 				}
@@ -188,24 +197,16 @@ func TestPredictorConcurrentHammer(t *testing.T) {
 	}
 }
 
-// TestPredictIntoValidation pins the error cases of the zero-alloc entry
+// TestPredictorValidation pins the error cases of the pooled entry
 // points.
-func TestPredictIntoValidation(t *testing.T) {
+func TestPredictorValidation(t *testing.T) {
 	net, err := NewNetwork(PaperArch(3), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := net.Predictor()
-	rows := randRows(rand.New(rand.NewSource(1)), 4, 3)
 
-	if err := p.PredictInto(make([][]float64, 3), rows); err == nil {
-		t.Error("want error for dst row-count mismatch")
-	}
-	bad := [][]float64{{0, 0}, {0, 0}, {0, 0}, {0, 0}}
-	if err := p.PredictInto(bad, rows); err == nil {
-		t.Error("want error for dst col-width mismatch")
-	}
-	if err := p.PredictInto(nil, nil); err != nil {
+	if err := p.PredictMatInto(mat.New(0, 1), mat.New(0, 3)); err != nil {
 		t.Errorf("empty batch should be a no-op, got %v", err)
 	}
 	if _, err := p.Predict([][]float64{{1, 2}}); err == nil {
@@ -244,5 +245,58 @@ func TestPredictEmptyBatch(t *testing.T) {
 	out, err := net.Predict(nil)
 	if out != nil || err != nil {
 		t.Fatalf("Predict(nil) = %v, %v; want nil, nil", out, err)
+	}
+}
+
+// TestBiasActMatchesSeparatePasses pins the inference epilogue against
+// the AddRowVec + Apply passes it replaces, for every activation, with
+// signed zeros, infinities, NaN and subnormals among the inputs and
+// biases (NaN payloads excepted: which NaN an add propagates depends on
+// operand order).
+func TestBiasActMatchesSeparatePasses(t *testing.T) {
+	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 5e-324, -5e-324, 800, -800}
+	rng := rand.New(rand.NewSource(31))
+	draw := func() float64 {
+		if rng.Intn(5) == 0 {
+			return specials[rng.Intn(len(specials))]
+		}
+		return 3 * rng.NormFloat64()
+	}
+	for _, name := range ActivationNames() {
+		act, err := ActivationByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cols := range []int{1, 7, 64, 130} {
+			z := mat.New(5, cols)
+			b := make([]float64, cols)
+			for i := range z.Data {
+				z.Data[i] = draw()
+			}
+			for j := range b {
+				b[j] = draw()
+			}
+			// At the widest shape, row 0 pairs every special input with
+			// every special bias.
+			if cols >= len(specials)*len(specials) {
+				for j := 0; j < len(specials)*len(specials); j++ {
+					z.Data[j] = specials[j%len(specials)]
+					b[j] = specials[j/len(specials)]
+				}
+			}
+			want := z.Clone().AddRowVec(b).Apply(act.Func)
+			got := z.Clone()
+			biasAct(got, b, act)
+			for i := range want.Data {
+				w, g := want.Data[i], got.Data[i]
+				if math.IsNaN(w) && math.IsNaN(g) {
+					continue
+				}
+				if math.Float64bits(w) != math.Float64bits(g) {
+					t.Fatalf("%s cols=%d element %d: fused %v (bits %x), separate passes %v (bits %x)",
+						name, cols, i, g, math.Float64bits(g), w, math.Float64bits(w))
+				}
+			}
+		}
 	}
 }
